@@ -1,9 +1,9 @@
 // Real wall-clock microbenchmarks (google-benchmark) of the hot kernels
 // across the workload: SpMV, AMG V-cycle, FEM partial vs full assembly,
-// FFT, transpose variants, MD pair forces, reaction kernels, and the
-// ParaDyn loop variants. These are the kernels the modeled experiments
-// are built from; their *relative* behaviour is measurable even on one
-// core.
+// LOR assembly and AMG setup, FFT, transpose variants, MD pair forces,
+// reaction kernels, and the ParaDyn loop variants. These are the kernels
+// the modeled experiments are built from; their *relative* behaviour is
+// measurable even on one core.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -76,6 +76,35 @@ BENCHMARK(BM_FemApply)
     ->Args({4, 0})
     ->Args({8, 1})
     ->Args({8, 0});
+
+// The preconditioner set-up of the Table 4 driver on BM_FemApply's
+// meshes: the order-1 LOR matrix, then the BoomerAMG hierarchy built on it.
+double lor_bench_kappa(double x, double y) { return 1.0 + x * x + y; }
+
+void BM_LorAssemble(benchmark::State& state) {
+  const auto p = static_cast<std::size_t>(state.range(0));
+  fem::TensorMesh2D mesh(48 / p, 48 / p, p);
+  fem::EllipticOperator op(mesh, fem::Assembly::Partial, 1.0, 0.5);
+  op.set_kappa(lor_bench_kappa);
+  for (auto _ : state) {
+    auto lor = op.assemble_lor();
+    benchmark::DoNotOptimize(lor.values().data());
+  }
+}
+BENCHMARK(BM_LorAssemble)->Arg(2)->Arg(4)->Arg(8);
+
+void BM_AmgSetup(benchmark::State& state) {
+  const auto p = static_cast<std::size_t>(state.range(0));
+  fem::TensorMesh2D mesh(48 / p, 48 / p, p);
+  fem::EllipticOperator op(mesh, fem::Assembly::Partial, 1.0, 0.5);
+  op.set_kappa(lor_bench_kappa);
+  const auto lor = op.assemble_lor();
+  for (auto _ : state) {
+    amg::BoomerAmg amg(lor, {});
+    benchmark::DoNotOptimize(amg.operator_complexity());
+  }
+}
+BENCHMARK(BM_AmgSetup)->Arg(2)->Arg(4)->Arg(8);
 
 void BM_Fft(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -10,11 +10,16 @@
 namespace coe::amg {
 
 la::CsrMatrix strength_graph(const la::CsrMatrix& a, double theta) {
-  std::vector<la::Triplet> strong;
   const auto rowptr = a.rowptr();
   const auto colind = a.colind();
   const auto values = a.values();
+  // Rows are visited in order and keep A's column order, so S is written
+  // as CSR directly.
+  la::CsrMatrix s(a.rows(), a.cols());
+  auto& srow = s.rowptr_mut();
+  auto& scol = s.colind_mut();
   for (std::size_t i = 0; i < a.rows(); ++i) {
+    srow[i] = scol.size();
     double max_off = 0.0;
     for (std::size_t k = rowptr[i]; k < rowptr[i + 1]; ++k) {
       if (colind[k] != i && -values[k] > max_off) max_off = -values[k];
@@ -22,11 +27,13 @@ la::CsrMatrix strength_graph(const la::CsrMatrix& a, double theta) {
     if (max_off <= 0.0) continue;
     for (std::size_t k = rowptr[i]; k < rowptr[i + 1]; ++k) {
       if (colind[k] != i && -values[k] >= theta * max_off) {
-        strong.push_back({i, colind[k], 1.0});
+        scol.push_back(colind[k]);
       }
     }
   }
-  return la::CsrMatrix::from_triplets(a.rows(), a.cols(), std::move(strong));
+  srow[a.rows()] = scol.size();
+  s.values_mut().assign(scol.size(), 1.0);
+  return s;
 }
 
 std::vector<PointType> pmis_coarsen(const la::CsrMatrix& s,
@@ -34,13 +41,13 @@ std::vector<PointType> pmis_coarsen(const la::CsrMatrix& s,
   const std::size_t n = s.rows();
   // Measure: number of points strongly influenced by i (column count of S),
   // plus a deterministic random tiebreak in (0, 1).
-  auto st = s.transpose();
+  const auto st = s.transpose();
+  const auto sr = s.rowptr(), tr = st.rowptr();
+  const auto sc = s.colind(), tc = st.colind();
   std::vector<double> measure(n);
   core::Rng rng(seed);
   for (std::size_t i = 0; i < n; ++i) {
-    measure[i] =
-        static_cast<double>(st.rowptr()[i + 1] - st.rowptr()[i]) +
-        rng.uniform();
+    measure[i] = static_cast<double>(tr[i + 1] - tr[i]) + rng.uniform();
   }
 
   enum : std::uint8_t { kUndecided = 0, kC = 1, kF = 2 };
@@ -48,55 +55,54 @@ std::vector<PointType> pmis_coarsen(const la::CsrMatrix& s,
   // Points with no strong connections at all become F immediately (they
   // smooth perfectly) unless they also influence nothing.
   for (std::size_t i = 0; i < n; ++i) {
-    const bool no_out = s.rowptr()[i + 1] == s.rowptr()[i];
-    const bool no_in = st.rowptr()[i + 1] == st.rowptr()[i];
+    const bool no_out = sr[i + 1] == sr[i];
+    const bool no_in = tr[i + 1] == tr[i];
     if (no_out && no_in) state[i] = kF;
   }
 
-  auto neighbors_undecided_or_c = [&](std::size_t i) {
-    // Union of S(i) and S^T(i) forms the PMIS neighborhood.
-    std::vector<std::size_t> nb;
-    for (std::size_t k = s.rowptr()[i]; k < s.rowptr()[i + 1]; ++k) {
-      nb.push_back(s.colind()[k]);
+  // The PMIS neighbourhood of i is S(i) followed by S^T(i), walked in
+  // place; visit(j) returns false to stop the walk.
+  auto walk_neighbours = [&](std::size_t i, auto&& visit) {
+    for (std::size_t k = sr[i]; k < sr[i + 1]; ++k) {
+      if (!visit(sc[k])) return;
     }
-    for (std::size_t k = st.rowptr()[i]; k < st.rowptr()[i + 1]; ++k) {
-      nb.push_back(st.colind()[k]);
+    for (std::size_t k = tr[i]; k < tr[i + 1]; ++k) {
+      if (!visit(tc[k])) return;
     }
-    return nb;
   };
 
   bool changed = true;
+  std::vector<std::size_t> new_c;
   while (changed) {
     changed = false;
     // Select local maxima among undecided points as C.
-    std::vector<std::size_t> new_c;
+    new_c.clear();
     for (std::size_t i = 0; i < n; ++i) {
       if (state[i] != kUndecided) continue;
       bool is_max = true;
-      for (std::size_t j : neighbors_undecided_or_c(i)) {
-        if (state[j] == kUndecided && measure[j] > measure[i]) {
-          is_max = false;
-          break;
-        }
-      }
+      walk_neighbours(i, [&](std::size_t j) {
+        is_max = !(state[j] == kUndecided && measure[j] > measure[i]);
+        return is_max;
+      });
       if (is_max) new_c.push_back(i);
     }
     for (std::size_t i : new_c) {
       state[i] = kC;
       changed = true;
-      for (std::size_t j : neighbors_undecided_or_c(i)) {
+      walk_neighbours(i, [&](std::size_t j) {
         if (state[j] == kUndecided) state[j] = kF;
-      }
+        return true;
+      });
     }
   }
 
   // Fixup: every F point must keep a strong C neighbour for interpolation.
   for (std::size_t i = 0; i < n; ++i) {
     if (state[i] != kF) continue;
-    if (s.rowptr()[i + 1] == s.rowptr()[i]) continue;  // truly isolated row
+    if (sr[i + 1] == sr[i]) continue;  // truly isolated row
     bool has_c = false;
-    for (std::size_t k = s.rowptr()[i]; k < s.rowptr()[i + 1]; ++k) {
-      if (state[s.colind()[k]] == kC) {
+    for (std::size_t k = sr[i]; k < sr[i + 1]; ++k) {
+      if (state[sc[k]] == kC) {
         has_c = true;
         break;
       }
@@ -121,14 +127,22 @@ la::CsrMatrix direct_interpolation(const la::CsrMatrix& a,
     if (cf[i] == PointType::Coarse) coarse_index[i] = nc++;
   }
 
-  // Strong-connection lookup per row of S.
-  std::vector<la::Triplet> trips;
+  // Rows are visited in order and coarse_index is increasing, so P is
+  // written as CSR directly with sorted columns.
+  la::CsrMatrix p(n, nc);
+  auto& prow = p.rowptr_mut();
+  auto& pcol = p.colind_mut();
+  auto& pval = p.values_mut();
   const auto ar = a.rowptr();
   const auto ac = a.colind();
   const auto av = a.values();
+  const auto sr = s.rowptr();
+  const auto sc = s.colind();
   for (std::size_t i = 0; i < n; ++i) {
+    prow[i] = pcol.size();
     if (cf[i] == PointType::Coarse) {
-      trips.push_back({i, coarse_index[i], 1.0});
+      pcol.push_back(static_cast<std::uint32_t>(coarse_index[i]));
+      pval.push_back(1.0);
       continue;
     }
     // Collect the strong coarse set C_i.
@@ -142,8 +156,8 @@ la::CsrMatrix direct_interpolation(const la::CsrMatrix& a,
       }
     }
     double sum_strong_c = 0.0;
-    for (std::size_t k = s.rowptr()[i]; k < s.rowptr()[i + 1]; ++k) {
-      const std::size_t j = s.colind()[k];
+    for (std::size_t k = sr[i]; k < sr[i + 1]; ++k) {
+      const std::size_t j = sc[k];
       if (cf[j] != PointType::Coarse) continue;
       // Find a_ij.
       for (std::size_t l = ar[i]; l < ar[i + 1]; ++l) {
@@ -155,18 +169,20 @@ la::CsrMatrix direct_interpolation(const la::CsrMatrix& a,
     }
     if (sum_strong_c == 0.0 || diag == 0.0) continue;  // isolated fine point
     const double alpha = sum_all_off / sum_strong_c;
-    for (std::size_t k = s.rowptr()[i]; k < s.rowptr()[i + 1]; ++k) {
-      const std::size_t j = s.colind()[k];
+    for (std::size_t k = sr[i]; k < sr[i + 1]; ++k) {
+      const std::size_t j = sc[k];
       if (cf[j] != PointType::Coarse) continue;
       for (std::size_t l = ar[i]; l < ar[i + 1]; ++l) {
         if (ac[l] == j) {
-          trips.push_back({i, coarse_index[j], -alpha * av[l] / diag});
+          pcol.push_back(static_cast<std::uint32_t>(coarse_index[j]));
+          pval.push_back(-alpha * av[l] / diag);
           break;
         }
       }
     }
   }
-  return la::CsrMatrix::from_triplets(n, nc, std::move(trips));
+  prow[n] = pcol.size();
+  return p;
 }
 
 BoomerAmg::BoomerAmg(la::CsrMatrix a_fine, const AmgOptions& opts)

@@ -18,7 +18,9 @@
 namespace coe::amg {
 
 /// Classical strength-of-connection: keep a_ij with
-/// -a_ij >= theta * max_k(-a_ik). Returns a 0/1 pattern matrix.
+/// -a_ij >= theta * max_k(-a_ik). Returns a 0/1 pattern matrix whose rows
+/// keep A's column order; A's rows must have sorted, unique columns (as
+/// from_triplets, multiply and transpose produce).
 la::CsrMatrix strength_graph(const la::CsrMatrix& a, double theta);
 
 enum class PointType : std::uint8_t { Fine = 0, Coarse = 1 };
@@ -30,7 +32,8 @@ std::vector<PointType> pmis_coarsen(const la::CsrMatrix& strength,
                                     std::uint64_t seed = 42);
 
 /// Classical direct interpolation from the C/F splitting.
-/// Returns P (n_fine x n_coarse).
+/// Returns P (n_fine x n_coarse); its columns are sorted when the rows of
+/// `strength` are.
 la::CsrMatrix direct_interpolation(const la::CsrMatrix& a,
                                    const la::CsrMatrix& strength,
                                    const std::vector<PointType>& cf);

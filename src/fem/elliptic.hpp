@@ -17,7 +17,6 @@
 
 #include "fem/mesh.hpp"
 #include "la/csr.hpp"
-#include "la/dense.hpp"
 #include "la/operator.hpp"
 
 namespace coe::fem {
@@ -52,14 +51,22 @@ class EllipticOperator final : public la::Operator {
              std::span<double> y) const override;
 
   /// The assembled global matrix (built on demand; Dirichlet-condensed).
+  /// Each entry sums its element contributions in element order.
   const la::CsrMatrix& assembled_matrix() const;
 
   /// Order-1 rediscretization on the GLL lattice with the same alpha/beta
   /// and coefficient -- spectrally equivalent to the high-order operator.
   la::CsrMatrix assemble_lor() const;
 
-  /// Diagonal of A (for Jacobi), computed matrix-free in Partial mode.
+  /// Diagonal of A (for Jacobi), summed from element diagonals without
+  /// assembling; bitwise equal to the diagonal of assembled_matrix().
   std::vector<double> assemble_diagonal() const;
+
+  /// Writes the (p+1)^2 x (p+1)^2 matrix of element (ex, ey), row-major
+  /// over local nodes (i, j) -> i (p+1) + j, into m; boundary rows and
+  /// columns are not yet eliminated.
+  void element_matrix(std::size_t ex, std::size_t ey,
+                      std::span<double> m) const;
 
   /// Approximate flops of one partial-assembly apply (for reporting).
   double pa_flops_per_apply() const;
@@ -73,7 +80,6 @@ class EllipticOperator final : public la::Operator {
  private:
   void apply_partial(core::ExecContext& ctx, std::span<const double> x,
                      std::span<double> y) const;
-  la::DenseMatrix element_matrix(std::size_t ex, std::size_t ey) const;
   void build_full() const;
 
   const TensorMesh2D* mesh_;

@@ -2,11 +2,13 @@
 // convergence, AMG-preconditioned CG, and the structured BoxLoop solver.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include "amg/amg.hpp"
 #include "core/rng.hpp"
+#include "fem/fem.hpp"
 #include "la/la.hpp"
 
 namespace {
@@ -77,6 +79,113 @@ TEST(Interp, RowsSumToOneForMMatrix) {
       EXPECT_GT(row_sum, 0.0);
       EXPECT_LE(row_sum, 1.5);
     }
+  }
+}
+
+// Reference constructions: the rows strength_graph and direct_interpolation
+// produce, as triplets handed to from_triplets to sort and sum.
+la::CsrMatrix triplet_strength(const la::CsrMatrix& a, double theta) {
+  std::vector<la::Triplet> strong;
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    double max_off = 0.0;
+    for (std::size_t k = a.rowptr()[i]; k < a.rowptr()[i + 1]; ++k) {
+      if (a.colind()[k] != i && -a.values()[k] > max_off) {
+        max_off = -a.values()[k];
+      }
+    }
+    if (max_off <= 0.0) continue;
+    for (std::size_t k = a.rowptr()[i]; k < a.rowptr()[i + 1]; ++k) {
+      if (a.colind()[k] != i && -a.values()[k] >= theta * max_off) {
+        strong.push_back({i, a.colind()[k], 1.0});
+      }
+    }
+  }
+  return la::CsrMatrix::from_triplets(a.rows(), a.cols(), std::move(strong));
+}
+
+la::CsrMatrix triplet_interpolation(const la::CsrMatrix& a,
+                                    const la::CsrMatrix& s,
+                                    const std::vector<amg::PointType>& cf) {
+  const std::size_t n = a.rows();
+  std::vector<std::size_t> coarse_index(n, 0);
+  std::size_t nc = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (cf[i] == amg::PointType::Coarse) coarse_index[i] = nc++;
+  }
+  auto a_ij = [&](std::size_t i, std::size_t j, double* v) {
+    for (std::size_t l = a.rowptr()[i]; l < a.rowptr()[i + 1]; ++l) {
+      if (a.colind()[l] == j) {
+        *v = a.values()[l];
+        return true;
+      }
+    }
+    return false;
+  };
+  std::vector<la::Triplet> trips;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (cf[i] == amg::PointType::Coarse) {
+      trips.push_back({i, coarse_index[i], 1.0});
+      continue;
+    }
+    double sum_all_off = 0.0, diag = 0.0, sum_strong_c = 0.0, v = 0.0;
+    for (std::size_t k = a.rowptr()[i]; k < a.rowptr()[i + 1]; ++k) {
+      if (a.colind()[k] == i) {
+        diag = a.values()[k];
+      } else {
+        sum_all_off += a.values()[k];
+      }
+    }
+    for (std::size_t k = s.rowptr()[i]; k < s.rowptr()[i + 1]; ++k) {
+      const std::size_t j = s.colind()[k];
+      if (cf[j] == amg::PointType::Coarse && a_ij(i, j, &v)) sum_strong_c += v;
+    }
+    if (sum_strong_c == 0.0 || diag == 0.0) continue;
+    const double alpha = sum_all_off / sum_strong_c;
+    for (std::size_t k = s.rowptr()[i]; k < s.rowptr()[i + 1]; ++k) {
+      const std::size_t j = s.colind()[k];
+      if (cf[j] == amg::PointType::Coarse && a_ij(i, j, &v)) {
+        trips.push_back({i, coarse_index[j], -alpha * v / diag});
+      }
+    }
+  }
+  return la::CsrMatrix::from_triplets(n, nc, std::move(trips));
+}
+
+void expect_bitwise_equal(const la::CsrMatrix& a, const la::CsrMatrix& b) {
+  EXPECT_EQ(a.rows(), b.rows());
+  EXPECT_EQ(a.cols(), b.cols());
+  EXPECT_TRUE(std::ranges::equal(a.rowptr(), b.rowptr()));
+  EXPECT_TRUE(std::ranges::equal(a.colind(), b.colind()));
+  EXPECT_TRUE(std::ranges::equal(a.values(), b.values()));
+}
+
+TEST(AmgSetup, DirectCsrMatchesTripletConstruction) {
+  // A 5-point Poisson matrix and a 9-point LOR matrix with a variable
+  // coefficient. The PMIS C-point counts and index sums are pinned, so a
+  // rewrite of the setup code cannot move the splitting unnoticed.
+  fem::TensorMesh2D mesh(8, 8, 4);
+  fem::EllipticOperator op(mesh, fem::Assembly::Partial, 1.0, 1.0);
+  op.set_kappa([](double x, double y) { return 1.0 + x + 0.5 * y * y; });
+  const struct {
+    la::CsrMatrix a;
+    std::size_t c_points, c_index_sum;
+  } cases[] = {{la::poisson2d(20, 20), 158, 31297},
+               {op.assemble_lor(), 253, 137632}};
+  for (const auto& c : cases) {
+    const auto s = amg::strength_graph(c.a, 0.25);
+    expect_bitwise_equal(s, triplet_strength(c.a, 0.25));
+    const auto cf = amg::pmis_coarsen(s);
+    std::size_t c_points = 0, c_index_sum = 0;
+    for (std::size_t i = 0; i < cf.size(); ++i) {
+      if (cf[i] == amg::PointType::Coarse) {
+        ++c_points;
+        c_index_sum += i;
+      }
+    }
+    EXPECT_EQ(c_points, c.c_points);
+    EXPECT_EQ(c_index_sum, c.c_index_sum);
+    expect_bitwise_equal(amg::direct_interpolation(c.a, s, cf),
+                         triplet_interpolation(c.a, s, cf));
   }
 }
 

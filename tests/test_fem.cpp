@@ -3,6 +3,7 @@
 // coupled nonlinear diffusion driver.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 
@@ -234,7 +235,62 @@ TEST(Elliptic, DiagonalMatchesAssembled) {
     if (mesh.is_boundary(i)) {
       EXPECT_DOUBLE_EQ(diag_csr[i], 1.0);
     } else {
-      EXPECT_NEAR(diag_free[i], diag_csr[i], 1e-10);
+      EXPECT_EQ(diag_free[i], diag_csr[i]) << "dof " << i;
+    }
+  }
+}
+
+/// Reference assembly: every element matrix entry as a (row, col, value)
+/// triplet, summed by from_triplets.
+la::CsrMatrix triplet_assembly(const fem::EllipticOperator& op) {
+  const auto& mesh = op.mesh();
+  const std::size_t p1 = mesh.order() + 1;
+  std::vector<double> m(p1 * p1 * p1 * p1);
+  std::vector<la::Triplet> trips;
+  for (std::size_t ex = 0; ex < mesh.nx(); ++ex) {
+    for (std::size_t ey = 0; ey < mesh.ny(); ++ey) {
+      op.element_matrix(ex, ey, m);
+      for (std::size_t a = 0; a < p1 * p1; ++a) {
+        const std::size_t r = mesh.elem_dof(ex, ey, a / p1, a % p1);
+        if (mesh.is_boundary(r)) continue;
+        for (std::size_t b = 0; b < p1 * p1; ++b) {
+          const std::size_t c = mesh.elem_dof(ex, ey, b / p1, b % p1);
+          if (mesh.is_boundary(c)) continue;
+          trips.push_back({r, c, m[a * p1 * p1 + b]});
+        }
+      }
+    }
+  }
+  for (std::size_t b : mesh.boundary_dofs()) trips.push_back({b, b, 1.0});
+  return la::CsrMatrix::from_triplets(mesh.num_dofs(), mesh.num_dofs(),
+                                      std::move(trips));
+}
+
+TEST(Elliptic, SortFreeAssemblyMatchesTriplets) {
+  // Uniform meshes and non-uniform ones whose lines are a GLL lattice (the
+  // meshes assemble_lor() builds), nx != ny, orders 1..8.
+  const fem::TensorMesh2D gll_x(1, 1, 3), gll_y(1, 1, 4);
+  for (std::size_t p = 1; p <= 8; ++p) {
+    const fem::TensorMesh2D uniform(3, 2, p);
+    const fem::TensorMesh2D lattice(gll_x.dof_xcoords(), gll_y.dof_ycoords(),
+                                    p);
+    for (const fem::TensorMesh2D* mesh : {&uniform, &lattice}) {
+      fem::EllipticOperator op(*mesh, fem::Assembly::Full, 0.3, 1.7);
+      op.set_kappa([](double x, double y) { return 1.0 + x + 0.5 * y * y; });
+      const auto& a = op.assembled_matrix();
+      const auto ref = triplet_assembly(op);
+      ASSERT_TRUE(std::ranges::equal(a.rowptr(), ref.rowptr())) << "p=" << p;
+      ASSERT_TRUE(std::ranges::equal(a.colind(), ref.colind())) << "p=" << p;
+      // Only the summation order of shared entries may differ.
+      for (std::size_t k = 0; k < a.nnz(); ++k) {
+        const double v = a.values()[k], w = ref.values()[k];
+        const double big = std::max(std::abs(v), std::abs(w));
+        const double ulp = std::nextafter(big, INFINITY) - big;
+        EXPECT_LE(std::abs(v - w), 4.0 * ulp) << "p=" << p << " entry " << k;
+      }
+      // The matrix-free diagonal sums in the same element order: exact.
+      const auto diag = op.assemble_diagonal();
+      EXPECT_TRUE(std::ranges::equal(diag, a.diagonal())) << "p=" << p;
     }
   }
 }
@@ -341,6 +397,47 @@ TEST(Elliptic, AmgOnLorCutsCgIterationsOnStiffSystem) {
   ASSERT_TRUE(r2.converged);
   EXPECT_LT(r2.iterations * 2, r1.iterations);
   for (std::size_t i = 0; i < x1.size(); ++i) EXPECT_NEAR(x1[i], x2[i], 1e-5);
+}
+
+TEST(DiffusionApp, DevicePricingIsPinned) {
+  // Host-side work in assembly, AMG setup and the PA kernel is not priced;
+  // only the Workload annotations are. These pinned values break on any
+  // change to an annotation, a launch count or an iteration count.
+  struct Pin {
+    std::size_t order;
+    std::uint64_t launches, transfers;
+    double flops, bytes, sim_s, shadow_s;
+    std::size_t cg_iterations, mass_cg_iterations;
+  };
+  const Pin pins[] = {
+      {2, 519, 0, 8299041.0, 15361044.0, 0.0031353347833333392,
+       0.00065502915231599587, 19, 16},
+      {4, 925, 0, 17290676.0, 27441488.0, 0.0055887034547008694,
+       0.0014750248445581158, 17, 10},
+  };
+  for (const Pin& pin : pins) {
+    auto gpu = core::make_device();
+    const std::size_t shadow = gpu.add_shadow(hsim::machines::power9_thread());
+    fem::DiffusionConfig cfg;
+    cfg.nx = 8;
+    cfg.order = pin.order;
+    cfg.t_final = 1e-4;
+    cfg.dt_init = 1e-4;
+    cfg.rtol = 1e-3;
+    cfg.max_timesteps = 1;
+    fem::NonlinearDiffusion app(gpu, cfg);
+    const auto rep = app.run();
+    const auto& c = gpu.counters();
+    EXPECT_EQ(c.launches, pin.launches) << "p=" << pin.order;
+    EXPECT_EQ(c.transfers, pin.transfers) << "p=" << pin.order;
+    EXPECT_EQ(c.flops, pin.flops) << "p=" << pin.order;
+    EXPECT_EQ(c.bytes, pin.bytes) << "p=" << pin.order;
+    EXPECT_EQ(gpu.simulated_time(), pin.sim_s) << "p=" << pin.order;
+    EXPECT_EQ(gpu.shadow_time(shadow), pin.shadow_s) << "p=" << pin.order;
+    EXPECT_EQ(rep.cg_iterations, pin.cg_iterations) << "p=" << pin.order;
+    EXPECT_EQ(rep.mass_cg_iterations, pin.mass_cg_iterations)
+        << "p=" << pin.order;
+  }
 }
 
 TEST(DiffusionApp, TimelineHasAllThreePhases) {
