@@ -1,14 +1,16 @@
 // Real wall-clock microbenchmarks (google-benchmark) of the hot kernels
 // across the workload: SpMV, AMG V-cycle, FEM partial vs full assembly,
 // LOR assembly and AMG setup, FFT, transpose variants, MD pair forces,
-// reaction kernels, and the ParaDyn loop variants. These are the kernels
-// the modeled experiments are built from; their *relative* behaviour is
-// measurable even on one core.
+// reaction kernels, the ParaDyn loop variants, and the CleverLeaf patch
+// loops. These are the kernels the modeled experiments are built from;
+// their *relative* behaviour is measurable even on one core.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <memory>
 
 #include "amg/amg.hpp"
+#include "amr/euler.hpp"
 #include "beamline/fft.hpp"
 #include "bench/bench_main.hpp"
 #include "core/exec.hpp"
@@ -248,6 +250,56 @@ void BM_CgFused(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CgFused)->Args({0, 128})->Args({1, 128});
+
+// table5_cleverleaf's device level: a 512^2 Sod tube with outflow walls,
+// as one patch (Arg 1) or four quadrant patches (Arg 4).
+struct SodLevel {
+  static constexpr std::int64_t kN = 512;
+  core::MemoryPool pool;
+  amr::PatchLevel level{pool, amr::Box{0, 0, kN - 1, kN - 1}, 2,
+                        amr::BoundaryKind::Outflow};
+  core::ExecContext ctx = core::make_device();
+  std::unique_ptr<amr::EulerSolver> solver;
+
+  explicit SodLevel(std::int64_t patches) {
+    const std::int64_t h = kN / 2;
+    if (patches == 4) {
+      level.add_patch(amr::Box{0, 0, h - 1, h - 1});
+      level.add_patch(amr::Box{h, 0, kN - 1, h - 1});
+      level.add_patch(amr::Box{0, h, h - 1, kN - 1});
+      level.add_patch(amr::Box{h, h, kN - 1, kN - 1});
+    } else {
+      level.add_patch(amr::Box{0, 0, kN - 1, kN - 1});
+    }
+    amr::EulerConfig cfg;
+    cfg.dx = cfg.dy = 1.0 / double(kN);
+    solver = std::make_unique<amr::EulerSolver>(ctx, level, cfg);
+    solver->init(
+        [h](std::int64_t i, std::int64_t) { return amr::sod_state(i, h); });
+  }
+};
+
+void BM_EulerStep(benchmark::State& state) {
+  // Ghost fill of the four conserved fields, the LLF update and the commit.
+  SodLevel sod(state.range(0));
+  const double dt = sod.solver->compute_dt();
+  for (auto _ : state) {
+    sod.solver->step(dt);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          SodLevel::kN * SodLevel::kN);
+}
+BENCHMARK(BM_EulerStep)->Arg(1)->Arg(4);
+
+void BM_EulerComputeDt(benchmark::State& state) {
+  // The CFL reduction over every interior cell.
+  SodLevel sod(state.range(0));
+  for (auto _ : state) benchmark::DoNotOptimize(sod.solver->compute_dt());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          SodLevel::kN * SodLevel::kN);
+}
+BENCHMARK(BM_EulerComputeDt)->Arg(1)->Arg(4);
 
 }  // namespace
 

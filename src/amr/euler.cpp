@@ -1,7 +1,9 @@
 #include "amr/euler.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <vector>
 
 namespace coe::amr {
 
@@ -43,6 +45,57 @@ std::array<double, 4> flux_y(const Cons& c, const PrimState& s) {
   return {c.my, c.mx * s.v, c.my * s.v + s.p, (c.e + s.p) * s.v};
 }
 
+/// A cell's half of every LLF face flux it takes part in: its conserved
+/// state, its physical flux along x (axis 0) and y (axis 1), and its wave
+/// speed bound along each axis.
+struct HalfState {
+  std::array<double, 4> u;
+  std::array<double, 4> f[2];
+  double a[2];
+};
+
+HalfState half_state(const Cons& c, double gamma) {
+  const PrimState s = to_prim(c, gamma);
+  const double cs = sound_speed(s, gamma);
+  return {{c.rho, c.mx, c.my, c.e},
+          {flux_x(c, s), flux_y(c, s)},
+          {std::abs(s.u) + cs, std::abs(s.v) + cs}};
+}
+
+/// LLF numerical flux across the face between cells l and r along `axis`.
+std::array<double, 4> llf(const HalfState& l, const HalfState& r, int axis) {
+  const double a = std::max(l.a[axis], r.a[axis]);
+  std::array<double, 4> f;
+  for (int k = 0; k < 4; ++k) {
+    f[k] = 0.5 * (l.f[axis][k] + r.f[axis][k]) - 0.5 * a * (r.u[k] - l.u[k]);
+  }
+  return f;
+}
+
+/// A patch's rho, mx, my and E fields (or their "_new" twins).
+std::array<PatchField*, 4> cons_fields(Patch& patch,
+                                       const std::string& suffix = "") {
+  return {&patch.field(EulerSolver::kRho + suffix),
+          &patch.field(EulerSolver::kMx + suffix),
+          &patch.field(EulerSolver::kMy + suffix),
+          &patch.field(EulerSolver::kE + suffix)};
+}
+
+/// Sum of a field over every patch interior, in patch, row, column order.
+double interior_sum(const PatchLevel& level, const char* field) {
+  double sum = 0.0;
+  for (std::size_t p = 0; p < level.num_patches(); ++p) {
+    const Patch& patch = level.patch(p);
+    const Box& b = patch.box();
+    const PatchField& f = patch.field(field);
+    for (std::int64_t i = b.ilo; i <= b.ihi; ++i) {
+      const double* r = f.row(i);
+      for (std::int64_t jj = 0; jj < b.nj(); ++jj) sum += r[jj];
+    }
+  }
+  return sum;
+}
+
 }  // namespace
 
 EulerSolver::EulerSolver(core::ExecContext& ctx, PatchLevel& level,
@@ -62,13 +115,18 @@ void EulerSolver::init(
   for (std::size_t p = 0; p < level_->num_patches(); ++p) {
     auto& patch = level_->patch(p);
     const Box& b = patch.box();
+    const auto q = cons_fields(patch);
     for (std::int64_t i = b.ilo; i <= b.ihi; ++i) {
-      for (std::int64_t j = b.jlo; j <= b.jhi; ++j) {
-        const Cons c = to_cons(f(i, j), cfg_.gamma);
-        patch.field(kRho).at(i, j) = c.rho;
-        patch.field(kMx).at(i, j) = c.mx;
-        patch.field(kMy).at(i, j) = c.my;
-        patch.field(kE).at(i, j) = c.e;
+      double* rho = q[0]->row(i);
+      double* mx = q[1]->row(i);
+      double* my = q[2]->row(i);
+      double* en = q[3]->row(i);
+      for (std::int64_t jj = 0; jj < b.nj(); ++jj) {
+        const Cons c = to_cons(f(i, b.jlo + jj), cfg_.gamma);
+        rho[jj] = c.rho;
+        mx[jj] = c.mx;
+        my[jj] = c.my;
+        en[jj] = c.e;
       }
     }
   }
@@ -76,13 +134,21 @@ void EulerSolver::init(
 }
 
 double EulerSolver::compute_dt() const {
+  // Each patch reads its own interior: the level's value at every cell,
+  // since add_patch keeps the patches disjoint.
   double max_speed = 1e-12;
   for (std::size_t p = 0; p < level_->num_patches(); ++p) {
-    const auto& patch = level_->patch(p);
+    auto& patch = level_->patch(p);
     const Box& b = patch.box();
+    const auto q = cons_fields(patch);
     for (std::int64_t i = b.ilo; i <= b.ihi; ++i) {
-      for (std::int64_t j = b.jlo; j <= b.jhi; ++j) {
-        const PrimState s = primitive_at(i, j);
+      const double* rho = q[0]->row(i);
+      const double* mx = q[1]->row(i);
+      const double* my = q[2]->row(i);
+      const double* en = q[3]->row(i);
+      for (std::int64_t jj = 0; jj < b.nj(); ++jj) {
+        const PrimState s =
+            to_prim(Cons{rho[jj], mx[jj], my[jj], en[jj]}, cfg_.gamma);
         const double c = sound_speed(s, cfg_.gamma);
         max_speed = std::max(max_speed,
                              std::max(std::abs(s.u), std::abs(s.v)) + c);
@@ -96,71 +162,74 @@ void EulerSolver::step(double dt) {
   for (const char* f : {kRho, kMx, kMy, kE}) level_->fill_ghosts(f);
 
   const double gamma = cfg_.gamma;
+  const double dtdx = dt / cfg_.dx;
+  const double dtdy = dt / cfg_.dy;
   for (std::size_t p = 0; p < level_->num_patches(); ++p) {
     auto& patch = level_->patch(p);
     const Box& b = patch.box();
-    auto& rho = patch.field(kRho);
-    auto& mx = patch.field(kMx);
-    auto& my = patch.field(kMy);
-    auto& en = patch.field(kE);
+    const std::int64_t nj = b.nj();
+    const auto q = cons_fields(patch);
+    const auto q_new = cons_fields(patch, "_new");
 
-    auto cons_at = [&](std::int64_t i, std::int64_t j) {
-      return Cons{rho.at(i, j), mx.at(i, j), my.at(i, j), en.at(i, j)};
-    };
-    // LLF numerical flux between two cells along a given axis.
-    auto llf = [&](const Cons& l, const Cons& r, bool xdir) {
-      const PrimState pl = to_prim(l, gamma);
-      const PrimState pr = to_prim(r, gamma);
-      const auto fl = xdir ? flux_x(l, pl) : flux_y(l, pl);
-      const auto fr = xdir ? flux_x(r, pr) : flux_y(r, pr);
-      const double al = (xdir ? std::abs(pl.u) : std::abs(pl.v)) +
-                        sound_speed(pl, gamma);
-      const double ar = (xdir ? std::abs(pr.u) : std::abs(pr.v)) +
-                        sound_speed(pr, gamma);
-      const double a = std::max(al, ar);
-      std::array<double, 4> f;
-      const double ul[4] = {l.rho, l.mx, l.my, l.e};
-      const double ur[4] = {r.rho, r.mx, r.my, r.e};
-      for (int k = 0; k < 4; ++k) {
-        f[k] = 0.5 * (fl[k] + fr[k]) - 0.5 * a * (ur[k] - ul[k]);
+    // Half-states of rows i-1, i and i+1, each row over j = jlo-1 .. jhi+1
+    // (element jj + 1 holds column jlo + jj). Every cell's half-state is
+    // computed once per step and shared by the faces it touches.
+    std::vector<HalfState> rows(3 * static_cast<std::size_t>(nj + 2));
+    HalfState* below = rows.data() + 1;
+    HalfState* mid = below + (nj + 2);
+    HalfState* above = mid + (nj + 2);
+    auto load_row = [&](std::int64_t i, HalfState* h) {
+      const double* rho = q[0]->row(i);
+      const double* mx = q[1]->row(i);
+      const double* my = q[2]->row(i);
+      const double* en = q[3]->row(i);
+      // Interior rows also need their two side ghosts; the ghost rows
+      // i = ilo-1 and ihi+1 only feed x faces.
+      const bool interior = i >= b.ilo && i <= b.ihi;
+      const std::int64_t jj_lo = interior ? -1 : 0;
+      const std::int64_t jj_hi = interior ? nj : nj - 1;
+      for (std::int64_t jj = jj_lo; jj <= jj_hi; ++jj) {
+        h[jj] = half_state(Cons{rho[jj], mx[jj], my[jj], en[jj]}, gamma);
       }
-      return f;
     };
 
     // ~220 flops and ~320 bytes per cell (4 fields, 2 flux pairs).
     ctx_->record_kernel({220.0 * double(b.size()), 320.0 * double(b.size())});
 
+    load_row(b.ilo - 1, below);
+    load_row(b.ilo, mid);
     for (std::int64_t i = b.ilo; i <= b.ihi; ++i) {
-      for (std::int64_t j = b.jlo; j <= b.jhi; ++j) {
-        const Cons c = cons_at(i, j);
-        const auto fxl = llf(cons_at(i - 1, j), c, true);
-        const auto fxr = llf(c, cons_at(i + 1, j), true);
-        const auto fyl = llf(cons_at(i, j - 1), c, false);
-        const auto fyr = llf(c, cons_at(i, j + 1), false);
-        const double u[4] = {c.rho, c.mx, c.my, c.e};
-        double unew[4];
+      load_row(i + 1, above);
+      double* out[4] = {q_new[0]->row(i), q_new[1]->row(i), q_new[2]->row(i),
+                        q_new[3]->row(i)};
+      for (std::int64_t jj = 0; jj < nj; ++jj) {
+        const HalfState& c = mid[jj];
+        const auto fxl = llf(below[jj], c, 0);
+        const auto fxr = llf(c, above[jj], 0);
+        const auto fyl = llf(mid[jj - 1], c, 1);
+        const auto fyr = llf(c, mid[jj + 1], 1);
         for (int k = 0; k < 4; ++k) {
-          unew[k] = u[k] - dt / cfg_.dx * (fxr[k] - fxl[k]) -
-                    dt / cfg_.dy * (fyr[k] - fyl[k]);
+          out[k][jj] = c.u[k] - dtdx * (fxr[k] - fxl[k]) -
+                       dtdy * (fyr[k] - fyl[k]);
         }
-        patch.field(std::string(kRho) + "_new").at(i, j) = unew[0];
-        patch.field(std::string(kMx) + "_new").at(i, j) = unew[1];
-        patch.field(std::string(kMy) + "_new").at(i, j) = unew[2];
-        patch.field(std::string(kE) + "_new").at(i, j) = unew[3];
       }
+      HalfState* const done = below;
+      below = mid;
+      mid = above;
+      above = done;
     }
   }
-  // Commit.
+  // Commit by copying interior rows. The ghosts stay put: on a fine level
+  // the coarse-fine ghosts come from prolong_into, not from fill_ghosts.
   for (std::size_t p = 0; p < level_->num_patches(); ++p) {
     auto& patch = level_->patch(p);
     const Box& b = patch.box();
-    for (const char* f : {kRho, kMx, kMy, kE}) {
-      auto& dst = patch.field(f);
-      auto& src = patch.field(std::string(f) + "_new");
+    const auto q = cons_fields(patch);
+    const auto q_new = cons_fields(patch, "_new");
+    for (int k = 0; k < 4; ++k) {
       for (std::int64_t i = b.ilo; i <= b.ihi; ++i) {
-        for (std::int64_t j = b.jlo; j <= b.jhi; ++j) {
-          dst.at(i, j) = src.at(i, j);
-        }
+        const double* src = q_new[k]->row(i);
+        std::copy(src, src + b.nj(), q[k]->row(i));
       }
     }
   }
@@ -179,45 +248,15 @@ std::size_t EulerSolver::advance(double t_end) {
 }
 
 double EulerSolver::total_mass() const {
-  double m = 0.0;
-  for (std::size_t p = 0; p < level_->num_patches(); ++p) {
-    const auto& patch = level_->patch(p);
-    const Box& b = patch.box();
-    for (std::int64_t i = b.ilo; i <= b.ihi; ++i) {
-      for (std::int64_t j = b.jlo; j <= b.jhi; ++j) {
-        m += patch.field(kRho).at(i, j);
-      }
-    }
-  }
-  return m * cfg_.dx * cfg_.dy;
+  return interior_sum(*level_, kRho) * cfg_.dx * cfg_.dy;
 }
 
 double EulerSolver::total_energy() const {
-  double e = 0.0;
-  for (std::size_t p = 0; p < level_->num_patches(); ++p) {
-    const auto& patch = level_->patch(p);
-    const Box& b = patch.box();
-    for (std::int64_t i = b.ilo; i <= b.ihi; ++i) {
-      for (std::int64_t j = b.jlo; j <= b.jhi; ++j) {
-        e += patch.field(kE).at(i, j);
-      }
-    }
-  }
-  return e * cfg_.dx * cfg_.dy;
+  return interior_sum(*level_, kE) * cfg_.dx * cfg_.dy;
 }
 
 double EulerSolver::total_momentum_x() const {
-  double m = 0.0;
-  for (std::size_t p = 0; p < level_->num_patches(); ++p) {
-    const auto& patch = level_->patch(p);
-    const Box& b = patch.box();
-    for (std::int64_t i = b.ilo; i <= b.ihi; ++i) {
-      for (std::int64_t j = b.jlo; j <= b.jhi; ++j) {
-        m += patch.field(kMx).at(i, j);
-      }
-    }
-  }
-  return m * cfg_.dx * cfg_.dy;
+  return interior_sum(*level_, kMx) * cfg_.dx * cfg_.dy;
 }
 
 PrimState EulerSolver::primitive_at(std::int64_t i, std::int64_t j) const {

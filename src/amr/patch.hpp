@@ -5,11 +5,13 @@
 // the Umpire-style MemoryPool so repeated regridding amortizes allocation
 // cost, exactly the design the paper describes.
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -58,6 +60,9 @@ struct Box {
 };
 
 /// Cell-centered double field on a ghosted patch box, pool-allocated.
+/// Storage is row-major over the ghosted box: cell (i, j) is element
+/// (i - gb.ilo) * stride() + (j - gb.jlo) of data(), with
+/// gb = interior().grown(ghost()), so each i is one contiguous row.
 class PatchField {
  public:
   PatchField(core::MemoryPool& pool, const Box& interior, std::int64_t ghost)
@@ -69,11 +74,23 @@ class PatchField {
   const Box& interior() const { return interior_; }
   std::int64_t ghost() const { return ghost_; }
 
+  double* data() { return data_.data(); }
+  const double* data() const { return data_.data(); }
+  std::int64_t stride() const { return interior_.nj() + 2 * ghost_; }
+
+  /// Row i, offset so that row(i)[j - interior().jlo] is cell (i, j); valid
+  /// offsets run from -ghost() to interior().nj() + ghost() - 1.
+  double* row(std::int64_t i) {
+    assert(i >= interior_.ilo - ghost_ && i <= interior_.ihi + ghost_);
+    return data() + (i - interior_.ilo + ghost_) * stride() + ghost_;
+  }
+  const double* row(std::int64_t i) const {
+    return const_cast<PatchField*>(this)->row(i);
+  }
+
   double& at(std::int64_t i, std::int64_t j) {
-    const Box gb = interior_.grown(ghost_);
-    assert(gb.contains(i, j));
-    return data_[static_cast<std::size_t>((i - gb.ilo) * gb.nj() +
-                                          (j - gb.jlo))];
+    assert(interior_.grown(ghost_).contains(i, j));
+    return row(i)[j - interior_.jlo];
   }
   double at(std::int64_t i, std::int64_t j) const {
     return const_cast<PatchField*>(this)->at(i, j);
@@ -131,7 +148,15 @@ class PatchLevel {
   std::int64_t ghost() const { return ghost_; }
   BoundaryKind boundary() const { return bc_; }
 
+  /// The level's patches must be disjoint: throws std::invalid_argument if
+  /// `box` shares a cell with a patch already on the level.
   Patch& add_patch(const Box& box) {
+    for (const auto& p : patches_) {
+      if (!Box::intersect(p->box(), box).empty()) {
+        throw std::invalid_argument(
+            "PatchLevel::add_patch: box overlaps an existing patch");
+      }
+    }
     patches_.push_back(std::make_unique<Patch>(*pool_, box, ghost_));
     return *patches_.back();
   }
@@ -140,7 +165,8 @@ class PatchLevel {
   const Patch& patch(std::size_t p) const { return *patches_[p]; }
 
   /// Fills every patch's ghost cells for `field` from sibling patches and
-  /// the physical boundary condition.
+  /// the physical boundary condition. A ghost cell whose source lies in no
+  /// patch keeps its value (on a fine level, the prolonged coarse data).
   void fill_ghosts(const std::string& field);
 
   /// Reads the level's value at a cell (must be interior to some patch).

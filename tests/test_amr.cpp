@@ -1,9 +1,14 @@
 // Tests for the mini-SAMRAI module: box algebra, ghost exchange, pool-
 // backed patch storage, prolongation/restriction, and the CleverLeaf Euler
-// solver (Sod shock physics, conservation, multi-patch equivalence).
+// solver (Sod shock physics, conservation, multi-patch equivalence, and
+// bitwise pins of fields, timesteps and kernel counters).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <stdexcept>
+#include <vector>
 
 #include "amr/euler.hpp"
 #include "amr/two_level.hpp"
@@ -70,6 +75,22 @@ TEST(PatchLevel, GhostExchangeBetweenPatches) {
   EXPECT_DOUBLE_EQ(left.field("f").at(-1, 2), 1502.0);
   // Right patch's right ghosts wrap to the left edge.
   EXPECT_DOUBLE_EQ(right.field("f").at(16, 5), 5.0);
+}
+
+TEST(PatchLevel, AddPatchRejectsOverlap) {
+  core::MemoryPool pool;
+  amr::PatchLevel level(pool, amr::Box{0, 0, 15, 15}, 2,
+                        amr::BoundaryKind::Outflow);
+  level.add_patch(amr::Box{0, 0, 7, 15});
+  level.add_patch(amr::Box{8, 0, 15, 7});
+  // One shared cell is enough to be refused.
+  EXPECT_THROW(level.add_patch(amr::Box{7, 8, 15, 15}),
+               std::invalid_argument);
+  EXPECT_THROW(level.add_patch(amr::Box{8, 0, 15, 7}), std::invalid_argument);
+  EXPECT_EQ(level.num_patches(), 2u);
+  // The remaining gap is still accepted.
+  level.add_patch(amr::Box{8, 8, 15, 15});
+  EXPECT_EQ(level.num_patches(), 3u);
 }
 
 TEST(PatchLevel, OutflowClampsAtWalls) {
@@ -223,6 +244,120 @@ TEST(Euler, MultiPatchMatchesSinglePatch) {
   }
 }
 
+// --- Bitwise pins --------------------------------------------------------
+// The constants below were recorded on the lookup-per-cell implementation
+// of EulerSolver and PatchLevel::fill_ghosts. The patch loops must
+// reproduce every field bit, every timestep and every kernel counter.
+
+std::uint64_t fnv1a(const std::vector<std::uint64_t>& words) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (std::uint64_t w : words) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (w >> (8 * b)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+/// Bit patterns of rho, mx, my and E at every cell the level covers,
+/// x-major over its domain.
+std::vector<std::uint64_t> level_bits(const amr::PatchLevel& level) {
+  std::vector<std::uint64_t> bits;
+  const amr::Box& d = level.domain();
+  for (std::int64_t i = d.ilo; i <= d.ihi; ++i) {
+    for (std::int64_t j = d.jlo; j <= d.jhi; ++j) {
+      if (!level.covers(i, j)) continue;
+      for (const char* f : {amr::EulerSolver::kRho, amr::EulerSolver::kMx,
+                            amr::EulerSolver::kMy, amr::EulerSolver::kE}) {
+        bits.push_back(std::bit_cast<std::uint64_t>(level.value_at(f, i, j)));
+      }
+    }
+  }
+  return bits;
+}
+
+struct SodRun {
+  std::vector<std::uint64_t> bits;
+  std::vector<std::uint64_t> dt_bits;
+  hsim::Counters counters;
+  double sim = 0.0;
+};
+
+/// 64^2 Sod problem with a diagonal interface (i + j = 64), 10 steps of
+/// compute_dt + step on a V100 context. The four patches are unequal, so
+/// rows and columns have different lengths on every patch.
+SodRun run_sod(bool four_patches, amr::BoundaryKind bc) {
+  const std::int64_t n = 64;
+  core::MemoryPool pool;
+  amr::PatchLevel level(pool, amr::Box{0, 0, n - 1, n - 1}, 2, bc);
+  if (four_patches) {
+    level.add_patch(amr::Box{0, 0, 23, 39});
+    level.add_patch(amr::Box{24, 0, 63, 39});
+    level.add_patch(amr::Box{0, 40, 23, 63});
+    level.add_patch(amr::Box{24, 40, 63, 63});
+  } else {
+    level.add_patch(amr::Box{0, 0, n - 1, n - 1});
+  }
+  auto ctx = core::make_device();
+  amr::EulerConfig cfg;
+  cfg.dx = cfg.dy = 1.0 / double(n);
+  amr::EulerSolver solver(ctx, level, cfg);
+  solver.init([n](std::int64_t i, std::int64_t j) {
+    return amr::sod_state(i + j, n);
+  });
+  SodRun run;
+  for (int s = 0; s < 10; ++s) {
+    const double dt = solver.compute_dt();
+    run.dt_bits.push_back(std::bit_cast<std::uint64_t>(dt));
+    solver.step(dt);
+  }
+  run.bits = level_bits(level);
+  run.counters = ctx.counters();
+  run.sim = ctx.simulated_time();
+  return run;
+}
+
+void expect_counters(const SodRun& r, std::uint64_t launches,
+                     std::uint64_t transfers, double flops, double bytes,
+                     std::uint64_t sim_bits) {
+  EXPECT_EQ(r.counters.launches, launches);
+  EXPECT_EQ(r.counters.transfers, transfers);
+  EXPECT_EQ(r.counters.flops, flops);
+  EXPECT_EQ(r.counters.bytes, bytes);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.sim), sim_bits);
+}
+
+TEST(EulerPin, FourPatchOutflowSod) {
+  const SodRun r = run_sod(true, amr::BoundaryKind::Outflow);
+  EXPECT_EQ(fnv1a(r.bits), 0x51432dc3da031dceull);
+  EXPECT_EQ(fnv1a(r.dt_bits), 0x8fc1b673b64dbf0dull);
+  // One launch per patch per step; 220 flops and 320 bytes per cell.
+  expect_counters(r, 40, 0, 9011200.0, 13107200.0, 0x3f30ebf3a502967eull);
+}
+
+TEST(EulerPin, OnePatchOutflowSod) {
+  const SodRun r = run_sod(false, amr::BoundaryKind::Outflow);
+  EXPECT_EQ(fnv1a(r.bits), 0x51432dc3da031dceull);
+  EXPECT_EQ(fnv1a(r.dt_bits), 0x8fc1b673b64dbf0dull);
+  expect_counters(r, 10, 0, 9011200.0, 13107200.0, 0x3f148036200aadddull);
+}
+
+TEST(EulerPin, FourPatchPeriodicSod) {
+  const SodRun r = run_sod(true, amr::BoundaryKind::Periodic);
+  EXPECT_EQ(fnv1a(r.bits), 0x89e0800912d9fba8ull);
+  EXPECT_EQ(fnv1a(r.dt_bits), 0x7a6d111a00f1c8dfull);
+  expect_counters(r, 40, 0, 9011200.0, 13107200.0, 0x3f30ebf3a502967eull);
+}
+
+TEST(EulerPin, FourPatchFieldsEqualOnePatchBitwise) {
+  for (auto bc : {amr::BoundaryKind::Outflow, amr::BoundaryKind::Periodic}) {
+    const SodRun four = run_sod(true, bc);
+    const SodRun one = run_sod(false, bc);
+    EXPECT_EQ(four.bits, one.bits);
+    EXPECT_EQ(four.dt_bits, one.dt_bits);
+  }
+}
 
 TEST(TwoLevel, FreeStreamPreserved) {
   // A uniform moving gas must remain exactly uniform through the
@@ -323,6 +458,36 @@ TEST(TwoLevel, RefinementSharpensTheShock) {
   });
 
   EXPECT_LT(e_amr, 0.8 * e_coarse);
+}
+
+TEST(TwoLevel, SodIsPinnedBitwise) {
+  // RefinementSharpensTheShock's two-level setup. The fine level's
+  // coarse-fine ghosts come from prolongation, not from fill_ghosts.
+  const std::int64_t n = 64;
+  core::MemoryPool pool;
+  amr::PatchLevel coarse(pool, amr::Box{0, 0, n - 1, 3}, 2,
+                         amr::BoundaryKind::Outflow);
+  coarse.add_patch(amr::Box{0, 0, n - 1, 3});
+  amr::PatchLevel fine(pool, amr::Box{0, 0, 2 * n - 1, 7}, 2,
+                       amr::BoundaryKind::Outflow);
+  fine.add_patch(amr::Box{n / 2, 0, 2 * n - n / 2 - 1, 7});
+  auto ctx = core::make_device();
+  amr::EulerConfig cfg;
+  cfg.dx = cfg.dy = 1.0 / double(n);
+  amr::TwoLevelEuler sim(ctx, coarse, fine, 2, cfg);
+  sim.init([n](double x, double) {
+    return amr::sod_state(std::int64_t(x), n / 2);
+  });
+  const std::size_t steps = sim.advance(0.1);
+  EXPECT_EQ(steps, 33u);
+  EXPECT_EQ(fnv1a(level_bits(coarse)), 0x5bdf93115587e865ull);
+  EXPECT_EQ(fnv1a(level_bits(fine)), 0x3381e921de5e5e95ull);
+  EXPECT_EQ(ctx.counters().launches, 99u);
+  EXPECT_EQ(ctx.counters().transfers, 0u);
+  EXPECT_EQ(ctx.counters().flops, 9292800.0);
+  EXPECT_EQ(ctx.counters().bytes, 13516800.0);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(ctx.simulated_time()),
+            0x3f441450b698749cull);
 }
 
 }  // namespace
