@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -691,6 +694,121 @@ TEST(Net, ReplicatedMdConservesAndMatchesSingleRank) {
   EXPECT_NEAR(e4, e1, 1e-8 * std::abs(e1) + 1e-10);
   EXPECT_NEAR(four.temperature, one.temperature, 1e-9);
   EXPECT_EQ(one.net.messages, 0u);  // single rank: tree sends nothing
+}
+
+
+// --- Driver pins ---------------------------------------------------------
+// The constants below were recorded on the drivers that each kept their
+// own copy of the wave and MD arithmetic. The shared slab and replica
+// types must reproduce every field bit, kernel counter, message count and
+// modeled second.
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+std::uint64_t fnv1a(const std::vector<double>& v) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (double d : v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (bits(d) >> (8 * b)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+TEST(DriverPin, DistributedWaveMatrix) {
+  struct Pin {
+    bool aggregate, overlap;
+    int skew_rank;  ///< priced 4x per point when >= 0
+    std::uint64_t field;
+    std::size_t launches;
+    double flops, bytes;
+    std::size_t messages;
+    std::uint64_t timeline;
+  };
+  const Pin pins[] = {
+      {true, true, -1, 0xca0819fa2d88bf56ull, 140, 272384.0, 1247232.0, 42,
+       0x3f204f15826c5822ull},
+      {true, false, -1, 0xca0819fa2d88bf56ull, 112, 272384.0, 1247232.0, 42,
+       0x3f204f15826c5822ull},
+      {false, true, -1, 0xca0819fa2d88bf56ull, 224, 272384.0, 1247232.0, 84,
+       0x3f2776b9fcadbe83ull},
+      {false, false, -1, 0xca0819fa2d88bf56ull, 196, 272384.0, 1247232.0, 84,
+       0x3f2776b9fcadbe83ull},
+      // Skew moves only the priced work, never the field.
+      {true, true, 1, 0xca0819fa2d88bf56ull, 140, 476672.0, 1892352.0, 42,
+       0x3f2645317a85defbull},
+  };
+  const auto cl = test_cluster(5e-6, 1e-9);
+  auto u0 = [](double x, double y, double z) {
+    return std::sin(M_PI * x) * std::sin(2.0 * M_PI * y) *
+           std::sin(M_PI * z);
+  };
+  for (const Pin& pin : pins) {
+    stencil::DistributedWaveConfig cfg;
+    cfg.nx = 16;
+    cfg.ny = 8;
+    cfg.nz = 8;
+    cfg.steps = 6;
+    cfg.aggregate_halos = pin.aggregate;
+    cfg.overlap = pin.overlap;
+    cfg.skew_rank = pin.skew_rank;
+    cfg.skew_factor = 4.0;
+    cfg.cluster = &cl;
+    cfg.trace_ranks = true;
+    const auto res = stencil::distributed_wave_run(4, cfg, u0);
+    std::size_t launches = 0;
+    double flops = 0.0, bytes = 0.0;
+    for (const auto& tb : res.rank_traces) {
+      for (const auto& e : tb.snapshot()) {
+        if (e.kind != obs::TraceEvent::Kind::Kernel) continue;
+        ++launches;
+        flops += e.flops;
+        bytes += e.bytes;
+      }
+    }
+    const std::string mode = std::string(pin.aggregate ? "agg" : "sep") +
+                             (pin.overlap ? "+overlap" : "") +
+                             (pin.skew_rank >= 0 ? "+skew" : "");
+    EXPECT_EQ(fnv1a(res.field), pin.field) << mode;
+    EXPECT_EQ(launches, pin.launches) << mode;
+    EXPECT_EQ(flops, pin.flops) << mode;
+    EXPECT_EQ(bytes, pin.bytes) << mode;
+    EXPECT_EQ(res.traffic.messages, pin.messages) << mode;
+    EXPECT_EQ(bits(res.modeled.timeline_s), pin.timeline) << mode;
+  }
+}
+
+TEST(DriverPin, ReplicatedMd) {
+  struct Pin {
+    bool aggregate;
+    std::uint64_t potential, kinetic, virial;
+    std::size_t messages;
+    std::uint64_t timeline;
+  };
+  const Pin pins[] = {
+      {true, 0xc06d416564c27746ull, 0x405d0bcdc1af721eull,
+       0x4090fa4c7d731055ull, 36, 0x3f313bbc99a3d583ull},
+      {false, 0xc06d416564c27746ull, 0x405d0bcdc1af721eull,
+       0x4090fa4c7d731055ull, 180, 0x3f37fc53abac4963ull},
+  };
+  const auto cl = test_cluster(1e-6, 1e-9);
+  for (const Pin& pin : pins) {
+    net::NetLog log;
+    md::ReplicatedConfig cfg;
+    cfg.per_side = 4;
+    cfg.steps = 8;
+    cfg.aggregate = pin.aggregate;
+    cfg.log = &log;
+    cfg.cluster = &cl;
+    const auto res = md::replicated_md_run(3, cfg);
+    const char* mode = pin.aggregate ? "aggregated" : "separate";
+    EXPECT_EQ(bits(res.potential), pin.potential) << mode;
+    EXPECT_EQ(bits(res.kinetic), pin.kinetic) << mode;
+    EXPECT_EQ(bits(res.virial), pin.virial) << mode;
+    EXPECT_EQ(res.net.messages, pin.messages) << mode;
+    EXPECT_EQ(bits(res.modeled.timeline_s), pin.timeline) << mode;
+  }
 }
 
 }  // namespace

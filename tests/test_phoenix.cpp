@@ -4,6 +4,7 @@
 // bitwise ride-through-failure guarantees.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "la/la.hpp"
+#include "md/replicated.hpp"
 #include "md/survivable.hpp"
 #include "net/net.hpp"
 #include "obs/metrics.hpp"
@@ -352,6 +354,50 @@ TEST(PhoenixWave, FaultFreeSurvivableMatchesDistributedBitwise) {
   EXPECT_GT(sur.report.stats.ckpt_commits, 0u);
 }
 
+// Recorded on the drivers that each kept their own copy of the wave
+// arithmetic: the shared slab must reproduce every field bit, kernel
+// counter, message and modeled second of a fault-free survivable run.
+TEST(PhoenixWave, FaultFreeRunIsPinned) {
+  hsim::ClusterModel cl;
+  cl.name = "test";
+  cl.nodes = 64;
+  cl.alpha = 1e-6;
+  cl.beta = 1e-9;
+  net::NetLog log;
+  auto cfg = wave_cfg(4, 0, phoenix::RepairPolicy::Shrink);
+  cfg.cluster = &cl;
+  cfg.log = &log;
+  cfg.trace_ranks = true;
+  const auto r = stencil::survivable_wave_run(cfg, wave_u0);
+
+  std::size_t launches = 0;
+  double flops = 0.0, bytes = 0.0;
+  for (const auto& tb : r.report.rank_traces) {
+    for (const auto& e : tb.snapshot()) {
+      if (e.kind != obs::TraceEvent::Kind::Kernel) continue;
+      ++launches;
+      flops += e.flops;
+      bytes += e.bytes;
+    }
+  }
+  std::uint64_t h = 14695981039346656037ull;
+  for (double d : r.field) {
+    const auto w = std::bit_cast<std::uint64_t>(d);
+    for (int b = 0; b < 8; ++b) {
+      h ^= (w >> (8 * b)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+  EXPECT_EQ(h, 0x4439d3cd47b55a51ull);
+  EXPECT_EQ(launches, 24u);
+  EXPECT_EQ(flops, 72960.0);
+  EXPECT_EQ(bytes, 230400.0);
+  EXPECT_EQ(r.report.traffic.messages, 44u);
+  EXPECT_EQ(r.report.stats.ckpt_commits, 8u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.modeled.timeline_s),
+            0x3f1821739300c072ull);
+}
+
 TEST(PhoenixWave, SpareSubstitutionRecoversBitwise) {
   auto cfg = wave_cfg(4, 1, phoenix::RepairPolicy::Spare);
   auto ref = stencil::survivable_wave_run(cfg, wave_u0);
@@ -494,6 +540,32 @@ TEST(PhoenixDriver, ConfigValidation) {
 // ---------------------------------------------------------------------------
 // Survivable MD
 // ---------------------------------------------------------------------------
+
+TEST(PhoenixMd, FaultFreeSurvivableMatchesReplicatedBitwise) {
+  // The part tree and the recursive-doubling allreduce associate the
+  // partial force sums identically, so without kills or checkpoints the
+  // survivable trajectory is the replicated one, bit for bit.
+  for (int workers : {1, 2, 4}) {
+    md::SurvivableMdConfig cfg;
+    cfg.workers = workers;
+    cfg.ckpt_every = 0;
+    cfg.mpi.timeout_seconds = 5.0;
+    auto sur = md::survivable_md_run(cfg);
+
+    md::ReplicatedConfig rc;
+    rc.per_side = cfg.per_side;
+    rc.steps = cfg.steps;
+    auto rep = md::replicated_md_run(workers, rc);
+
+    EXPECT_EQ(sur.report.stats.kills, 0u) << "workers=" << workers;
+    EXPECT_EQ(sur.report.stats.ckpt_commits, 0u) << "workers=" << workers;
+    EXPECT_EQ(sur.n, rep.n) << "workers=" << workers;
+    EXPECT_EQ(sur.potential, rep.potential) << "workers=" << workers;
+    EXPECT_EQ(sur.kinetic, rep.kinetic) << "workers=" << workers;
+    EXPECT_EQ(sur.virial, rep.virial) << "workers=" << workers;
+    EXPECT_EQ(sur.temperature, rep.temperature) << "workers=" << workers;
+  }
+}
 
 TEST(PhoenixMd, SpareRecoveryIsBitwise) {
   md::SurvivableMdConfig cfg;
