@@ -14,7 +14,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cstddef>
 #include <memory>
 #include <string>
@@ -231,31 +230,8 @@ class ExecContext {
   template <typename Body>
   double reduce_sum(std::size_t n, hsim::Workload w, Body&& body) {
     launch_begin();
-    double sum = 0.0;
-    if (backend_ == Backend::Threads && n > 1) {
-      auto& pool = global_pool();
-      // Sized to the exact chunk fan-out; the overflow accumulator keeps
-      // the reduction correct even if a chunk lands past the slot array.
-      std::vector<double> partial(pool.chunk_count(n), 0.0);
-      std::atomic<std::size_t> next{0};
-      std::atomic<double> overflow{0.0};
-      pool.parallel_for(n, [&](std::size_t lo, std::size_t hi) {
-        double s = 0.0;
-        for (std::size_t i = lo; i < hi; ++i) s += body(i);
-        const std::size_t slot = next.fetch_add(1);
-        if (slot < partial.size()) {
-          partial[slot] = s;
-        } else {
-          double cur = overflow.load();
-          while (!overflow.compare_exchange_weak(cur, cur + s)) {
-          }
-        }
-      });
-      for (double s : partial) sum += s;
-      sum += overflow.load();
-    } else {
-      for (std::size_t i = 0; i < n; ++i) sum += body(i);
-    }
+    const double sum =
+        reduce(n, 0.0, body, [](double a, double b) { return a + b; });
     launch_end(hsim::total(w, n), "reduce_sum");
     return sum;
   }
@@ -263,40 +239,9 @@ class ExecContext {
   /// Max reduction.
   template <typename Body>
   double reduce_max(std::size_t n, hsim::Workload w, Body&& body) {
-    constexpr double kLowest = -1.7976931348623157e308;
     launch_begin();
-    double m = kLowest;
-    if (backend_ == Backend::Threads && n > 1) {
-      auto& pool = global_pool();
-      std::vector<double> partial(pool.chunk_count(n), kLowest);
-      std::atomic<std::size_t> next{0};
-      std::atomic<double> overflow{kLowest};
-      pool.parallel_for(n, [&](std::size_t lo, std::size_t hi) {
-        double lm = kLowest;
-        for (std::size_t i = lo; i < hi; ++i) {
-          const double v = body(i);
-          if (v > lm) lm = v;
-        }
-        const std::size_t slot = next.fetch_add(1);
-        if (slot < partial.size()) {
-          partial[slot] = lm;
-        } else {
-          double cur = overflow.load();
-          while (cur < lm && !overflow.compare_exchange_weak(cur, lm)) {
-          }
-        }
-      });
-      for (double v : partial) {
-        if (v > m) m = v;
-      }
-      const double of = overflow.load();
-      if (of > m) m = of;
-    } else {
-      for (std::size_t i = 0; i < n; ++i) {
-        const double v = body(i);
-        if (v > m) m = v;
-      }
-    }
+    const double m = reduce(n, -1.7976931348623157e308, body,
+                            [](double a, double b) { return b > a ? b : a; });
     launch_end(hsim::total(w, n), "reduce_max");
     return m;
   }
@@ -414,6 +359,29 @@ class ExecContext {
   friend class FusedRegion;
 
   void launch_begin() {}
+
+  /// Folds body(i) over [0, n) with `op` from `init`. On the Threads
+  /// backend each chunk folds into its own slot, indexed by the chunk (not
+  /// by completion order), and the slots fold in chunk order: the result
+  /// depends only on n and the pool size, never on thread timing.
+  template <typename Body, typename Op>
+  double reduce(std::size_t n, double init, Body& body, Op op) {
+    double acc = init;
+    if (backend_ == Backend::Threads && n > 1) {
+      auto& pool = global_pool();
+      std::vector<double> partial(pool.chunk_count(n), init);
+      pool.parallel_for(
+          n, [&](std::size_t c, std::size_t lo, std::size_t hi) {
+            double a = init;
+            for (std::size_t i = lo; i < hi; ++i) a = op(a, body(i));
+            partial[c] = a;
+          });
+      for (double p : partial) acc = op(acc, p);
+    } else {
+      for (std::size_t i = 0; i < n; ++i) acc = op(acc, body(i));
+    }
+    return acc;
+  }
 
   /// Runs chunk(lo, hi) over [0, n): thread pool on the Threads backend
   /// (templated fast path, no std::function allocation), one chunk inline

@@ -29,7 +29,7 @@ void ThreadPool::drain(const Job& job) {
     if (c >= job.chunks) return;
     const std::size_t lo = job.n * c / job.chunks;
     const std::size_t hi = job.n * (c + 1) / job.chunks;
-    job.fn(lo, hi);
+    job.fn(c, lo, hi);
   }
 }
 
@@ -38,7 +38,7 @@ void ThreadPool::run(std::size_t n, FnRef fn) {
   const std::size_t chunks = chunk_count(n);
 
   if (chunks == 1 || workers_.empty()) {
-    fn(0, n);
+    fn(0, 0, n);
     return;
   }
 

@@ -9,7 +9,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <functional>
 #include <mutex>
 #include <thread>
 #include <type_traits>
@@ -36,32 +35,25 @@ class ThreadPool {
     return n < target ? n : target;
   }
 
-  /// Runs fn(begin, end) on contiguous chunks of [0, n), blocking until all
-  /// chunks complete. The calling thread claims chunks alongside the
-  /// workers. Type-erased path, kept for std::function callers.
-  void parallel_for(std::size_t n,
-                    const std::function<void(std::size_t, std::size_t)>& fn) {
-    run(n, FnRef{const_cast<void*>(static_cast<const void*>(&fn)),
-                 [](void* f, std::size_t lo, std::size_t hi) {
-                   (*static_cast<
-                       const std::function<void(std::size_t, std::size_t)>*>(
-                       f))(lo, hi);
-                 }});
-  }
-
-  /// Templated fast path: references the callable in place for the
-  /// duration of the (blocking) call — no std::function allocation, one
-  /// indirect call per chunk instead of a type-erased dispatch per
-  /// boundary. This is what forall's lambda binds to.
-  template <typename F,
-            typename = std::enable_if_t<!std::is_same_v<
-                std::decay_t<F>,
-                std::function<void(std::size_t, std::size_t)>>>>
+  /// Runs fn(lo, hi) -- or fn(chunk, lo, hi), for per-chunk accumulators
+  /// -- on the contiguous chunks of [0, n), blocking until all complete.
+  /// Chunk c always covers [n*c/K, n*(c+1)/K) with K = chunk_count(n),
+  /// whichever thread claims it. The calling thread claims chunks
+  /// alongside the workers. The callable is referenced in place for the
+  /// duration of the (blocking) call: no std::function allocation, one
+  /// indirect call per chunk.
+  template <typename F>
   void parallel_for(std::size_t n, F&& fn) {
     using Fn = std::remove_reference_t<F>;
     run(n, FnRef{const_cast<void*>(static_cast<const void*>(&fn)),
-                 [](void* f, std::size_t lo, std::size_t hi) {
-                   (*static_cast<Fn*>(f))(lo, hi);
+                 [](void* f, std::size_t c, std::size_t lo, std::size_t hi) {
+                   if constexpr (std::is_invocable_v<Fn&, std::size_t,
+                                                     std::size_t,
+                                                     std::size_t>) {
+                     (*static_cast<Fn*>(f))(c, lo, hi);
+                   } else {
+                     (*static_cast<Fn*>(f))(lo, hi);
+                   }
                  }});
   }
 
@@ -70,8 +62,10 @@ class ThreadPool {
   /// referenced callable outlives the blocking run() that uses it.
   struct FnRef {
     void* obj = nullptr;
-    void (*call)(void*, std::size_t, std::size_t) = nullptr;
-    void operator()(std::size_t lo, std::size_t hi) const { call(obj, lo, hi); }
+    void (*call)(void*, std::size_t, std::size_t, std::size_t) = nullptr;
+    void operator()(std::size_t c, std::size_t lo, std::size_t hi) const {
+      call(obj, c, lo, hi);
+    }
   };
 
   struct Job {

@@ -8,14 +8,25 @@
 // instead of five rounds. With a rank-count-only reduction tree (recursive
 // doubling, naive) the aggregated and separate forms reduce every element
 // through the identical association, so trajectories are bitwise equal.
+//
+// Every piece of per-replica arithmetic lives in one MdReplica (DESIGN.md
+// §15.3); replicated_md_run and survivable_md_run both host that one type
+// and differ only in how the partial buffers are summed across replicas.
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
+#include <vector>
 
+#include "core/exec.hpp"
 #include "core/machine.hpp"
+#include "md/neighbor.hpp"
+#include "md/particles.hpp"
+#include "md/potentials.hpp"
 #include "mpi/comm.hpp"
 #include "net/collective.hpp"
 #include "net/reprice.hpp"
+#include "resil/checkpoint.hpp"
 
 namespace coe::md {
 
@@ -54,6 +65,52 @@ struct ReplicatedResult {
   net::NetStats net;         ///< summed over ranks
   std::size_t reductions_per_step = 0;
   net::RepriceResult modeled;  ///< populated when cfg.log and cfg.cluster set
+};
+
+/// One replica: the full LJ system, its lazily built neighbor list, the
+/// velocity-Verlet kick and drift loops, and the (3n+2)-wide
+/// [fx | fy | fz | energy | virial] reduction buffer.
+class MdReplica final : public resil::Checkpointable {
+ public:
+  /// per_side^3 particles on a perturbed cubic lattice with zero net
+  /// momentum; the same seed gives every replica the same bits.
+  MdReplica(std::size_t per_side, double density, double temperature,
+            double rcut, double skin, double dt, std::uint64_t seed);
+
+  std::size_t n() const { return p_.n; }
+  /// The reduction buffer: this replica's partial sums after
+  /// partial_forces(), the global sums once the host has reduced it.
+  std::span<double> agg() { return agg_; }
+
+  /// Pair forces, energy and virial over neighbor-list rows [lo, hi) into
+  /// agg(), (re)building the list first when it is missing or stale.
+  void partial_forces(core::ExecContext& ctx, std::size_t lo, std::size_t hi);
+  /// Installs the summed agg() as this replica's forces, energy and virial.
+  void adopt_forces();
+  void half_kick_and_drift(core::ExecContext& ctx);
+  void half_kick(core::ExecContext& ctx);
+
+  double energy() const { return energy_; }
+  double virial() const { return virial_; }
+  double kinetic() const { return p_.kinetic_energy(); }
+  double temperature() const { return p_.temperature(); }
+
+  /// Checkpoint blob: positions, velocities, forces, energy, virial AND the
+  /// neighbor list (pairs + build-reference positions). The conditional
+  /// rebuild schedule is part of the trajectory, so the list must roll back
+  /// with the state it was built from.
+  void save_state(std::vector<double>& out) const override;
+  void restore_state(const std::vector<double>& in) override;
+
+ private:
+  double dt_;
+  Particles p_;
+  Box box_;
+  LennardJones pot_;
+  NeighborList nl_;
+  bool nl_built_ = false;
+  double energy_ = 0.0, virial_ = 0.0;
+  std::vector<double> agg_;
 };
 
 /// Runs `ranks` replicated-data ranks for cfg.steps velocity-Verlet steps

@@ -1,15 +1,13 @@
 #pragma once
-// Survivable replicated-data MD (DESIGN.md §17): replicated.cpp's
-// velocity-Verlet LJ loop re-hosted on phoenix::run_survivable. Every
-// logical part holds a full replica and computes the pair forces over its
-// neighbor-list row slice; the partial [fx | fy | fz | energy | virial]
-// arrays are summed by the driver's fixed binary part-tree (real p2p
-// messages, association independent of the part->rank mapping), so a run
-// that rides through a rank kill replays to a bitwise-identical trajectory.
-// The checkpoint blob carries positions, velocities, forces, AND the
-// neighbor list (pairs + build-reference positions): the conditional
-// rebuild schedule is part of the trajectory, so the list must roll back
-// with the state it was built from.
+// Survivable replicated-data MD (DESIGN.md §17): the MdReplica of
+// replicated_md_run hosted on phoenix::run_survivable. Every logical part
+// holds a full replica and computes the pair forces over its neighbor-list
+// row slice; the partial [fx | fy | fz | energy | virial] buffers are
+// summed by the driver's fixed binary part-tree (real p2p messages,
+// association independent of the part->rank mapping), so a run that rides
+// through a rank kill replays to a bitwise-identical trajectory. The
+// replica's checkpoint blob carries the neighbor list, so the rebuild
+// schedule rolls back with the state it was built from.
 
 #include <cstddef>
 #include <cstdint>

@@ -584,8 +584,8 @@ double Communicator::allreduce_sum(double v) {
 }
 
 double Communicator::allreduce_max(double v) {
-  // Native single-pass max on the shared reduce buffer: one collective
-  // instead of the legacy two-phase gather's 2*(P-1) messages.
+  // Native single-pass max on the shared reduce buffer: one collective,
+  // no messages.
   double buf = v;
   world_->allreduce(rank_, std::span<double>(&buf, 1), World::ReduceOp::Max);
   return buf;
@@ -593,25 +593,6 @@ double Communicator::allreduce_max(double v) {
 
 void Communicator::allreduce_max(std::span<double> inout) {
   world_->allreduce(rank_, inout, World::ReduceOp::Max);
-}
-
-double Communicator::allreduce_max_legacy(double v) {
-  // The pre-net path, kept only so tests can assert value-identity with
-  // the native reduction: gather every value to rank 0, broadcast back.
-  if (world_->size() == 1) return v;
-  if (rank_ == 0) {
-    double best = v;
-    for (int r = 1; r < world_->size(); ++r) {
-      auto msg = world_->recv(r, 0, /*tag=*/0x7f);
-      best = std::max(best, msg[0]);
-    }
-    for (int r = 1; r < world_->size(); ++r) {
-      world_->send(0, r, 0x7e, {best});
-    }
-    return best;
-  }
-  world_->send(rank_, 0, 0x7f, {v});
-  return world_->recv(0, rank_, 0x7e)[0];
 }
 
 void Communicator::barrier() { world_->barrier(rank_); }

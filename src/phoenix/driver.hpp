@@ -112,6 +112,16 @@ struct SurvivableConfig {
   std::function<bool(int, std::size_t)> fault_hook;
 };
 
+/// The driver settings an app's survivable config carries under the same
+/// names, for `steps` driver steps.
+template <typename AppConfig>
+SurvivableConfig survivable_config(const AppConfig& app, int steps) {
+  return {.workers = app.workers, .spares = app.spares, .policy = app.policy,
+          .steps = steps, .ckpt_every = app.ckpt_every, .mpi = app.mpi,
+          .node = app.node, .log = app.log, .metrics = app.metrics,
+          .trace_ranks = app.trace_ranks, .fault_hook = app.fault_hook};
+}
+
 class RankContext;
 
 /// Application plug-in. `make` builds one part's app (called for initial

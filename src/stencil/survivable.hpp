@@ -1,14 +1,11 @@
 #pragma once
-// Survivable distributed wave (DESIGN.md §17): the distributed.cpp
-// 4th-order kernel re-hosted on phoenix::run_survivable. Each logical part
-// owns one x-slab; slabs exchange the two ghost-deep halo planes per
+// Survivable distributed wave (DESIGN.md §17): the WaveSlab of
+// distributed_wave_run hosted on phoenix::run_survivable. Each logical part
+// owns one slab; slabs exchange the two ghost-deep halo planes per
 // direction as one aggregated part-addressed message per neighbor per step
-// and carry (u, u_prev) as their checkpoint blob. Every point performs
-// arithmetic identical to distributed_wave_run — the same Taylor backstep,
-// leapfrog update, and odd-reflection walls in the same order — so the
-// fault-free survivable field matches the distributed one bitwise, and a
-// run that rides through a rank kill (restore + replay) matches its own
-// fault-free reference bitwise: the acceptance gate of ISSUE 10.
+// and carry (u, u_prev) as their checkpoint blob. A run that rides through
+// a rank kill (restore + replay) matches its own fault-free reference
+// bitwise.
 
 #include <cstddef>
 #include <functional>

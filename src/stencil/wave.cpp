@@ -139,7 +139,6 @@ void WaveSolver::fill_ghosts() {
 }
 
 void WaveSolver::apply_laplacian_and_update(double dt) {
-  const double c0 = -30.0 / 12.0, c1 = 16.0 / 12.0, c2 = -1.0 / 12.0;
   const double ih2 = 1.0 / (h_ * h_);
   const double cdt2_const = c_ * c_ * dt * dt;
   const double dt2 = dt * dt;
@@ -151,13 +150,7 @@ void WaveSolver::apply_laplacian_and_update(double dt) {
   const double abstraction = opts_.raja_abstraction ? 1.3 : 1.0;
 
   auto lap_at = [&](std::size_t id) {
-    const double lx = c2 * (u_[id - 2 * si] + u_[id + 2 * si]) +
-                      c1 * (u_[id - si] + u_[id + si]) + c0 * u_[id];
-    const double ly = c2 * (u_[id - 2 * sj] + u_[id + 2 * sj]) +
-                      c1 * (u_[id - sj] + u_[id + sj]) + c0 * u_[id];
-    const double lz = c2 * (u_[id - 2] + u_[id + 2]) +
-                      c1 * (u_[id - 1] + u_[id + 1]) + c0 * u_[id];
-    return (lx + ly + lz) * ih2;
+    return lap4(u_.data(), id, si, sj, ih2);
   };
 
   auto cdt2_at = [&](std::size_t id) {

@@ -143,6 +143,21 @@ class WaveSolver : public resil::Checkpointable {
   std::size_t steps_ = 0;
 };
 
+/// The 4th-order Laplacian at ghosted index `id` of `u` (x stride si,
+/// y stride sj, unit z stride, ih2 = 1/h^2): the one stencil that the
+/// serial solver and the distributed slabs both apply.
+inline double lap4(const double* u, std::size_t id, std::size_t si,
+                   std::size_t sj, double ih2) {
+  constexpr double c0 = -30.0 / 12.0, c1 = 16.0 / 12.0, c2 = -1.0 / 12.0;
+  const double lx = c2 * (u[id - 2 * si] + u[id + 2 * si]) +
+                    c1 * (u[id - si] + u[id + si]) + c0 * u[id];
+  const double ly = c2 * (u[id - 2 * sj] + u[id + 2 * sj]) +
+                    c1 * (u[id - sj] + u[id + sj]) + c0 * u[id];
+  const double lz = c2 * (u[id - 2] + u[id + 2]) +
+                    c1 * (u[id - 1] + u[id + 1]) + c0 * u[id];
+  return (lx + ly + lz) * ih2;
+}
+
 /// Alpha-beta model of one halo exchange for an n^3 block with 2-deep
 /// ghosts (six faces, nonblocking pairs).
 double halo_exchange_time(const hsim::ClusterModel& net, std::size_t n);

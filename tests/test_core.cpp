@@ -1,6 +1,10 @@
 // Unit tests for the portability layer, machine models, buffers and pools.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <functional>
 #include <numeric>
 #include <vector>
 
@@ -97,6 +101,25 @@ TEST(Exec, ReduceSumMatchesSerial) {
     return static_cast<double>(i);
   });
   EXPECT_DOUBLE_EQ(got, double(n) * double(n - 1) / 2.0);
+}
+
+TEST(Exec, ThreadsReductionsAreDeterministic) {
+  // Partials are indexed by chunk and summed in chunk order, so identical
+  // calls give identical bits whichever thread finishes a chunk first.
+  // The terms span twelve decades, so any reassociation would show.
+  auto thr = core::make_threads();
+  const std::size_t n = 20000;
+  auto term = [](std::size_t i) {
+    return std::sin(double(i)) * std::pow(10.0, double(i % 13) - 6.0);
+  };
+  const double sum0 = thr.reduce_sum(n, {}, term);
+  const double max0 = thr.reduce_max(n, {}, term);
+  for (int call = 1; call < 1000; ++call) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(thr.reduce_sum(n, {}, term)),
+              std::bit_cast<std::uint64_t>(sum0))
+        << "call " << call;
+    ASSERT_EQ(thr.reduce_max(n, {}, term), max0) << "call " << call;
+  }
 }
 
 TEST(Exec, TimelinePhases) {
@@ -321,8 +344,8 @@ TEST(ThreadPool, RepeatedDispatch) {
 TEST(ThreadPool, GuidedChunksCoverRangeOnce) {
   // The guided scheduler splits the range into ~4x chunks claimed by an
   // atomic counter; whatever the interleaving, each index runs exactly
-  // once. The plain lambda takes the template fast path (no std::function
-  // allocation); the wrapped call takes the erased one -- same contract.
+  // once. A std::function binds the same template as a plain lambda --
+  // same contract.
   core::ThreadPool pool(4);
   for (const std::size_t n :
        {std::size_t{1}, std::size_t{3}, std::size_t{17}, std::size_t{1000},
@@ -339,6 +362,26 @@ TEST(ThreadPool, GuidedChunksCoverRangeOnce) {
         };
     pool.parallel_for(n, erased);
     for (auto& h : hits) EXPECT_EQ(h.load(), 2);
+  }
+}
+
+TEST(ThreadPool, ChunkIndexIsPositional) {
+  // Chunk c covers [n*c/K, n*(c+1)/K) whichever thread claims it, so a
+  // per-chunk accumulator indexed by c is filled identically every call.
+  core::ThreadPool pool(4);
+  for (const std::size_t n : {std::size_t{5}, std::size_t{1000}}) {
+    const std::size_t k = pool.chunk_count(n);
+    std::vector<std::atomic<int>> seen(k);
+    for (int call = 0; call < 50; ++call) {
+      pool.parallel_for(n, [&](std::size_t c, std::size_t lo,
+                               std::size_t hi) {
+        ASSERT_LT(c, k);
+        EXPECT_EQ(lo, n * c / k);
+        EXPECT_EQ(hi, n * (c + 1) / k);
+        seen[c].fetch_add(1);
+      });
+    }
+    for (auto& s : seen) EXPECT_EQ(s.load(), 50);
   }
 }
 

@@ -209,7 +209,8 @@ TEST(Elliptic, GalerkinSolveConvergesWithOrder) {
     mass.apply(ctx, fn, b);
     for (std::size_t bd : mesh.boundary_dofs()) b[bd] = 0.0;
     la::JacobiPreconditioner prec(op.assembled_matrix());
-    la::cg(ctx, op, prec, b, u, {4000, 1e-12, 0.0});
+    la::cg(ctx, op, prec, b, u,
+           {.max_iters = 4000, .rel_tol = 1e-12, .reduce = nullptr});
     double err = 0.0;
     for (std::size_t ix = 0; ix < mesh.ndof_x(); ++ix) {
       for (std::size_t iy = 0; iy < mesh.ndof_y(); ++iy) {
@@ -309,7 +310,8 @@ TEST(Lor, SpectrallyEquivalentPreconditioner) {
       b[i] = mesh.is_boundary(i) ? 0.0 : 1.0;
     }
     auto ctx = core::make_seq();
-    auto res = la::cg(ctx, op, prec, b, x, {200, 1e-8, 0.0});
+    auto res = la::cg(ctx, op, prec, b, x,
+                      {.max_iters = 200, .rel_tol = 1e-8, .reduce = nullptr});
     ASSERT_TRUE(res.converged) << "p=" << p;
     EXPECT_LT(res.iterations, 30u) << "p=" << p;
   }
@@ -371,7 +373,7 @@ TEST(Elliptic, AmgOnLorCutsCgIterationsOnStiffSystem) {
   for (std::size_t i = 0; i < b.size(); ++i) {
     b[i] = mesh.is_boundary(i) ? 0.0 : 1.0;
   }
-  la::SolveOptions opts{2000, 1e-8, 0.0};
+  la::SolveOptions opts{.max_iters = 2000, .rel_tol = 1e-8, .reduce = nullptr};
 
   auto ctx1 = core::make_seq();
   std::vector<double> x1(mesh.num_dofs(), 0.0);

@@ -195,7 +195,8 @@ TEST_P(KrylovPoisson, CgConverges) {
   a.spmv(ctx, x_true, b);
   la::CsrOperator op(a);
   la::JacobiPreconditioner prec(a);
-  auto res = la::cg(ctx, op, prec, b, x, {2000, 1e-10, 0.0});
+  auto res = la::cg(ctx, op, prec, b, x,
+                    {.max_iters = 2000, .rel_tol = 1e-10, .reduce = nullptr});
   ASSERT_TRUE(res.converged);
   for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-6);
 }
@@ -231,7 +232,9 @@ TEST(Krylov, BicgstabSolvesNonsymmetric) {
   a.spmv(ctx, x_true, b);
   la::CsrOperator op(a);
   la::JacobiPreconditioner prec(a);
-  auto res = la::bicgstab(ctx, op, prec, b, x, {500, 1e-12, 0.0});
+  auto res = la::bicgstab(
+      ctx, op, prec, b, x,
+      {.max_iters = 500, .rel_tol = 1e-12, .reduce = nullptr});
   ASSERT_TRUE(res.converged);
   for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-8);
 }
@@ -252,7 +255,9 @@ TEST(Krylov, GmresSolvesNonsymmetric) {
   a.spmv(ctx, x_true, b);
   la::CsrOperator op(a);
   la::JacobiPreconditioner prec(a);
-  auto res = la::gmres(ctx, op, prec, b, x, 20, {500, 1e-12, 0.0});
+  auto res = la::gmres(
+      ctx, op, prec, b, x, 20,
+      {.max_iters = 500, .rel_tol = 1e-12, .reduce = nullptr});
   ASSERT_TRUE(res.converged);
   for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-7);
 }

@@ -340,7 +340,8 @@ CgRun run_cg(double capacity_bytes) {  // 0: huge (machine), -1: no arena
   const la::JacobiPreconditioner prec(a);
   std::vector<double> b(a.rows(), 1.0), x(a.rows(), 0.0);
   CgRun r;
-  r.res = la::cg(ctx, op, prec, b, x, {.max_iters = 200, .rel_tol = 1e-8});
+  r.res = la::cg(ctx, op, prec, b, x,
+                 {.max_iters = 200, .rel_tol = 1e-8, .reduce = nullptr});
   ctx.sync();
   r.totals = {ctx.simulated_time(), ctx.counters()};
   r.x = std::move(x);

@@ -3,10 +3,12 @@
 // with halo exchange that must match the single-rank run exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <thread>
+#include <vector>
 
 #include "mpi/comm.hpp"
 #include "obs/metrics.hpp"
@@ -80,21 +82,22 @@ TEST(Mpi, AllreduceMax) {
 }
 
 TEST(Mpi, AllreduceMaxNativeMatchesLegacy) {
-  // The native single-pass max must be value-identical to the retired
-  // gather/broadcast-through-rank-0 path, and cost zero messages where the
-  // legacy path paid 2*(P-1).
+  // The native single-pass max must equal a std::max fold of every rank's
+  // value (computed locally: each rank's value is a function of its id)
+  // bit for bit, and cost zero messages.
   const int ranks = 5;
+  auto value = [](int r) { return std::sin(double(r + 1)) * 1e3; };
+  double expect = value(0);
+  for (int r = 1; r < ranks; ++r) expect = std::max(expect, value(r));
   auto stats = mpi::run(ranks, [&](mpi::Communicator& comm) {
-    const double mine = std::sin(double(comm.rank() + 1)) * 1e3;
+    const double mine = value(comm.rank());
     const double native = comm.allreduce_max(mine);
-    const double legacy = comm.allreduce_max_legacy(mine);
-    EXPECT_EQ(native, legacy);  // bitwise
+    EXPECT_EQ(native, expect);  // bitwise
     std::vector<double> v{mine, -mine};
     comm.allreduce_max(v);
     EXPECT_EQ(v[0], native);
   });
-  // All messages came from the legacy path's two phases.
-  EXPECT_EQ(stats.messages, 2u * (ranks - 1));
+  EXPECT_EQ(stats.messages, 0u);
 }
 
 TEST(Mpi, BarrierSynchronizes) {

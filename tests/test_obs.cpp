@@ -36,7 +36,9 @@ TEST(TraceBuffer, RingOverwritesOldestAndCountsDrops) {
   EXPECT_TRUE(buf.empty());
   EXPECT_EQ(buf.capacity(), 4u);
   for (int i = 0; i < 6; ++i) {
-    buf.push(kernel_event("e" + std::to_string(i), i, 0.5));
+    std::string name = "e";  // appended: GCC 12 -Wrestrict false positive
+    name += std::to_string(i);
+    buf.push(kernel_event(name, i, 0.5));
   }
   EXPECT_EQ(buf.size(), 4u);
   EXPECT_EQ(buf.dropped(), 2u);

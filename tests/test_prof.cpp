@@ -24,7 +24,9 @@ obs::TraceEvent kernel(double t0, double d, int stream,
   e.bound = obs::TraceEvent::Bound::Memory;
   e.backend = "device";
   e.phase = phase;
-  e.label = "k";
+  // Move-assigned: an inlined `= "k"` trips GCC 12's -Wrestrict false
+  // positive in Release builds.
+  e.label = std::string("k");
   e.t_start = t0;
   e.duration = d;
   e.stream = stream;
