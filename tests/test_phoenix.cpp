@@ -394,6 +394,8 @@ TEST(PhoenixWave, FaultFreeRunIsPinned) {
   EXPECT_EQ(bytes, 230400.0);
   EXPECT_EQ(r.report.traffic.messages, 44u);
   EXPECT_EQ(r.report.stats.ckpt_commits, 8u);
+  EXPECT_EQ(r.report.stats.buddy_msgs, 8u);
+  EXPECT_EQ(r.report.stats.buddy_bytes, 73984.0);
   EXPECT_EQ(std::bit_cast<std::uint64_t>(r.modeled.timeline_s),
             0x3f1821739300c072ull);
 }
@@ -435,6 +437,34 @@ TEST(PhoenixWave, ShrinkRecoversBitwise) {
   EXPECT_GT(r.report.stats.restores, 0u);
   // The shrunken world computes the identical global field: parts, not
   // ranks, own the arithmetic.
+  EXPECT_EQ(r.field, ref.field);
+}
+
+// Under Shrink the first victim's parts move to its ring successor, whose
+// buddy message then carries two blobs. Killing that successor after a
+// post-repair commit makes its own successor restore both parts from the
+// two-blob message. Rank 1 is retired before rank 2 dies, so the two are
+// never neighbours in one live ring (contrast BuddyPairLossIsUnrecoverable).
+TEST(PhoenixWave, ShrinkTwoBlobBuddyRestoreIsBitwise) {
+  auto cfg = wave_cfg(4, 0, phoenix::RepairPolicy::Shrink);
+  cfg.steps = 8;
+  auto ref = stencil::survivable_wave_run(cfg, wave_u0);
+  ASSERT_EQ(ref.report.stats.kills, 0u);
+
+  auto h1 = phoenix::kill_rank_at(1, 16);
+  auto h2 = phoenix::kill_rank_at(2, 40);
+  cfg.fault_hook = [h1, h2](int r, std::size_t op) {
+    return h1(r, op) || h2(r, op);
+  };
+  auto r = stencil::survivable_wave_run(cfg, wave_u0);
+
+  EXPECT_EQ(r.report.dead, (std::vector<int>{1, 2}));
+  EXPECT_EQ(r.report.stats.retirements, 2u);
+  // First round: part 0 on rank 0, parts 1-2 on rank 2, part 3 on rank 3.
+  // Second round: part 0 on rank 0, parts 1-3 on rank 3 -- parts 1 and 2
+  // exist in rank 3's store only as the two-blob message from rank 2.
+  EXPECT_EQ(r.report.stats.restores, 8u);
+  EXPECT_EQ(r.report.stats.crc_fallbacks, 0u);
   EXPECT_EQ(r.field, ref.field);
 }
 
