@@ -1,18 +1,22 @@
 // Real wall-clock microbenchmarks (google-benchmark) of the hot kernels
 // across the workload: SpMV, AMG V-cycle, FEM partial vs full assembly,
 // LOR assembly and AMG setup, FFT, transpose variants, MD pair forces,
-// reaction kernels, the ParaDyn loop variants, and the CleverLeaf patch
-// loops. These are the kernels the modeled experiments are built from;
-// their *relative* behaviour is measurable even on one core.
+// reaction kernels, the ParaDyn loop variants, the CleverLeaf patch
+// loops, and the checkpoint CRC-32. These are the kernels the modeled
+// experiments are built from; their *relative* behaviour is measurable
+// even on one core.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "amg/amg.hpp"
 #include "amr/euler.hpp"
 #include "beamline/fft.hpp"
 #include "bench/bench_main.hpp"
+#include "core/crc32.hpp"
 #include "core/exec.hpp"
 #include "core/rng.hpp"
 #include "core/table.hpp"
@@ -250,6 +254,22 @@ void BM_CgFused(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CgFused)->Args({0, 128})->Args({1, 128});
+
+void BM_Crc32(benchmark::State& state) {
+  // The checksum of one wave_survive checkpoint blob: a (64+4) x 132 x 132
+  // slab of u and u_prev, 19 MB. Every buddy commit hashes each blob twice
+  // (at its owner and at the buddy).
+  const std::size_t words = std::size_t{64 + 4} * 132 * 132 * 2;
+  std::vector<double> blob(words);
+  core::Rng rng(7);
+  for (double& w : blob) w = rng.uniform();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::crc32(std::span<const double>(blob)));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(words * sizeof(double)));
+}
+BENCHMARK(BM_Crc32)->Unit(benchmark::kMillisecond);
 
 // table5_cleverleaf's device level: a 512^2 Sod tube with outflow walls,
 // as one patch (Arg 1) or four quadrant patches (Arg 4).

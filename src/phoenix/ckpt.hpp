@@ -13,10 +13,10 @@
 // commit here is the *local* half of a distributed two-phase commit: the
 // driver only issues it after a world-wide vote, so a generation is either
 // committed on every live rank or on none. The latest two committed
-// generations are kept (double buffering); every blob carries a CRC32
-// (computed by resil::CheckpointStore::payload_crc) that is re-verified on
-// fetch — a corrupt blob is refused, counted, and the driver falls back to
-// the surviving buddy copy.
+// generations are kept (double buffering); every blob carries a CRC32,
+// computed in place by core::crc32 (the function resil::CheckpointStore
+// uses too), that is re-verified on fetch — a corrupt blob is refused,
+// counted, and the driver falls back to the surviving buddy copy.
 //
 // All methods lock an internal mutex: the common path is single-writer
 // (the owning rank thread), but post-repair recovery performs cross-store
@@ -27,8 +27,6 @@
 #include <map>
 #include <mutex>
 #include <vector>
-
-#include "resil/checkpoint.hpp"
 
 namespace coe::phoenix {
 

@@ -28,6 +28,47 @@ double wall_since(const std::chrono::steady_clock::time_point& t0) {
       .count();
 }
 
+// Blob messages are read from the back: each blob record is its words
+// followed by (part, step, nwords), then comes the record count, then any
+// bookkeeping words. Popping the trailer leaves a one-blob message holding
+// exactly that blob's words, so the receiver stores the message buffer
+// itself instead of copying the blob out.
+
+void put_blob(std::vector<double>& m, int part, std::size_t step,
+              const std::vector<double>& words) {
+  m.insert(m.end(), words.begin(), words.end());
+  m.push_back(static_cast<double>(part));
+  m.push_back(static_cast<double>(step));
+  m.push_back(static_cast<double>(words.size()));
+}
+
+double pop_word(std::vector<double>& m) {
+  if (m.empty()) throw std::logic_error("phoenix: truncated blob message");
+  const double w = m.back();
+  m.pop_back();
+  return w;
+}
+
+/// Stages every blob record of `m` (records plus their count, with any
+/// bookkeeping words already popped) as generation `gen`.
+void stage_blobs(DistributedCheckpointStore& store, std::uint64_t gen,
+                 std::vector<double> m) {
+  const auto nb = static_cast<std::size_t>(pop_word(m));
+  for (std::size_t b = 0; b < nb; ++b) {
+    const auto n = static_cast<std::size_t>(pop_word(m));
+    const auto st = static_cast<std::size_t>(pop_word(m));
+    const int p = static_cast<int>(pop_word(m));
+    if (n > m.size()) throw std::logic_error("phoenix: truncated blob message");
+    if (nb == 1 && n == m.size()) {
+      store.stage(gen, p, st, std::move(m));
+      return;
+    }
+    const auto at = static_cast<long>(m.size() - n);
+    store.stage(gen, p, st, std::vector<double>(m.begin() + at, m.end()));
+    m.resize(m.size() - n);
+  }
+}
+
 }  // namespace
 
 namespace detail {
@@ -235,47 +276,38 @@ void RankContext::log_compute() {
 void RankContext::checkpoint_exchange() {
   prof::Scope span(&prof_, &ctx_, "phoenix/ckpt");
   const std::uint64_t gen = gen_now();
-  // Stage own parts and keep the blobs for the aggregated buddy message.
+  const auto st = static_cast<std::size_t>(step_);
+  // Each own blob is written once by save_state, copied once into the
+  // aggregated buddy message, then moved into the store.
   std::vector<std::pair<int, std::vector<double>>> blobs;
   blobs.reserve(owned_.size());
+  std::size_t words = 1;
   for (int p : owned_) {
     std::vector<double> blob;
     parts_.at(p)->save_state(blob);
     ctx_.record_transfer(static_cast<double>(blob.size()) * 8.0,
                          /*to_device=*/false);
-    blobs.emplace_back(p, blob);
-    store_->stage(gen, p, static_cast<std::size_t>(step_), std::move(blob));
+    words += blob.size() + 3;
+    blobs.emplace_back(p, std::move(blob));
   }
+  const bool replicate = alive_.size() > 1;
+  std::vector<double> payload;
+  if (replicate) {
+    payload.reserve(words);
+    for (const auto& [p, blob] : blobs) put_blob(payload, p, st, blob);
+    payload.push_back(static_cast<double>(blobs.size()));
+  }
+  for (auto& [p, blob] : blobs) store_->stage(gen, p, st, std::move(blob));
   std::size_t msgs = 0;
   double bytes = 0.0;
-  if (alive_.size() > 1) {
+  if (replicate) {
     const std::vector<int> ring(alive_.begin(), alive_.end());
     const int succ = ring_successor(ring, rank_);
     const int pred = ring_predecessor(ring, rank_);
-    std::vector<double> payload;
-    payload.push_back(static_cast<double>(blobs.size()));
-    for (auto& [p, blob] : blobs) {
-      payload.push_back(static_cast<double>(p));
-      payload.push_back(static_cast<double>(step_));
-      payload.push_back(static_cast<double>(blob.size()));
-      payload.insert(payload.end(), blob.begin(), blob.end());
-    }
     bytes = static_cast<double>(payload.size()) * 8.0;
     log_compute();
     send_rank(succ, kChanBuddy, std::move(payload));
-    std::vector<double> in = recv_rank(pred, kChanBuddy);
-    std::size_t at = 0;
-    const auto nb = static_cast<std::size_t>(in.at(at++));
-    for (std::size_t b = 0; b < nb; ++b) {
-      const int p = static_cast<int>(in.at(at++));
-      const auto st = static_cast<std::size_t>(in.at(at++));
-      const auto n = static_cast<std::size_t>(in.at(at++));
-      store_->stage(gen, p,
-                    st, std::vector<double>(in.begin() + static_cast<long>(at),
-                                            in.begin() +
-                                                static_cast<long>(at + n)));
-      at += n;
-    }
+    stage_blobs(*store_, gen, recv_rank(pred, kChanBuddy));
     msgs = 1;
   }
   // Two-phase commit decision: an unlogged Central collective (logging it
@@ -301,18 +333,10 @@ void RankContext::checkpoint_exchange() {
 }
 
 void RankContext::ship_bootstrap_to(int d) {
-  // [agreed | -1, spares_used, n_needy, needy..., nblobs,
-  //  (part, step, nwords, words...)...]
+  // [(words..., part, step, nwords) | nothing, nblobs, needy..., n_needy,
+  //  spares_used, agreed | -1], read from the back.
   std::vector<double> payload;
-  payload.push_back(agreed_ == DistributedCheckpointStore::kNone
-                        ? -1.0
-                        : static_cast<double>(agreed_));
-  payload.push_back(static_cast<double>(spares_used_));
-  payload.push_back(static_cast<double>(needy_.size()));
-  for (int r : needy_) payload.push_back(static_cast<double>(r));
   std::size_t nblobs = 0;
-  const std::size_t count_at = payload.size();
-  payload.push_back(0.0);
   if (agreed_ != DistributedCheckpointStore::kNone) {
     // Under the Spare policy pmap is identity: rank d owns exactly part d,
     // and this rank — d's ring successor — holds the buddy copy.
@@ -320,14 +344,18 @@ void RankContext::ship_bootstrap_to(int d) {
     std::size_t st = 0;
     if (store_->fetch(agreed_, d, &blob, &st) ==
         DistributedCheckpointStore::Fetch::Ok) {
-      payload.push_back(static_cast<double>(d));
-      payload.push_back(static_cast<double>(st));
-      payload.push_back(static_cast<double>(blob.size()));
-      payload.insert(payload.end(), blob.begin(), blob.end());
+      payload.reserve(blob.size() + needy_.size() + 7);
+      put_blob(payload, d, st, blob);
       ++nblobs;
     }
   }
-  payload[count_at] = static_cast<double>(nblobs);
+  payload.push_back(static_cast<double>(nblobs));
+  for (int r : needy_) payload.push_back(static_cast<double>(r));
+  payload.push_back(static_cast<double>(needy_.size()));
+  payload.push_back(static_cast<double>(spares_used_));
+  payload.push_back(agreed_ == DistributedCheckpointStore::kNone
+                        ? -1.0
+                        : static_cast<double>(agreed_));
   local_.shipped_msgs += 1;
   local_.shipped_bytes += static_cast<double>(payload.size()) * 8.0;
   send_rank(d, kChanBoot, std::move(payload));
@@ -336,26 +364,15 @@ void RankContext::ship_bootstrap_to(int d) {
 void RankContext::receive_bootstrap() {
   const int holder = (rank_ + 1) % nparts_;
   std::vector<double> in = recv_rank(holder, kChanBoot);
-  std::size_t at = 0;
-  const double g = in.at(at++);
+  const double g = pop_word(in);
   agreed_ = g < 0.0 ? DistributedCheckpointStore::kNone
                     : static_cast<std::uint64_t>(g);
-  spares_used_ = static_cast<int>(in.at(at++));
-  const auto nn = static_cast<std::size_t>(in.at(at++));
+  spares_used_ = static_cast<int>(pop_word(in));
+  const auto nn = static_cast<std::size_t>(pop_word(in));
   needy_.clear();
   for (std::size_t i = 0; i < nn; ++i)
-    needy_.insert(static_cast<int>(in.at(at++)));
-  const auto nb = static_cast<std::size_t>(in.at(at++));
-  for (std::size_t b = 0; b < nb; ++b) {
-    const int p = static_cast<int>(in.at(at++));
-    const auto st = static_cast<std::size_t>(in.at(at++));
-    const auto n = static_cast<std::size_t>(in.at(at++));
-    store_->stage(agreed_, p,
-                  st, std::vector<double>(in.begin() + static_cast<long>(at),
-                                          in.begin() +
-                                              static_cast<long>(at + n)));
-    at += n;
-  }
+    needy_.insert(static_cast<int>(pop_word(in)));
+  stage_blobs(*store_, agreed_, std::move(in));
   if (agreed_ != DistributedCheckpointStore::kNone) {
     store_->commit(agreed_);
     GenSnapshot snap;
