@@ -44,12 +44,13 @@ COE_BENCH_MAIN(sec43_cretin) {
     auto model = kinetics::make_model(c.levels);
     auto cpu = core::make_cpu(hsim::machines::power9());
     auto gpu = core::make_device(hsim::machines::v100());
-    auto rep_cpu = kinetics::process_zones(
-        cpu, model, zones, kinetics::SolveMethod::DenseDirect,
-        kinetics::ThreadMode::ZoneParallel, cpu_cores, cpu_mem);
+    auto rep_cpu =
+        kinetics::process_zones(cpu, model, zones,
+                                kinetics::ThreadMode::ZoneParallel, cpu_cores,
+                                cpu_mem);
     auto rep_gpu = kinetics::process_zones(
-        gpu, model, zones, kinetics::SolveMethod::DenseDirect,
-        kinetics::ThreadMode::TransitionParallel, gpu_lanes, gpu_mem);
+        gpu, model, zones, kinetics::ThreadMode::TransitionParallel,
+        gpu_lanes, gpu_mem);
     const double ratio = rep_cpu.modeled_time / rep_gpu.modeled_time;
     if (c.levels == 4000) second_largest_ratio = ratio;
     if (c.levels == 8000) {
@@ -74,12 +75,13 @@ COE_BENCH_MAIN(sec43_cretin) {
   auto model = kinetics::make_model(8000);
   auto cpu1 = core::make_cpu(hsim::machines::power9());
   auto cpu2 = core::make_cpu(hsim::machines::power9());
-  auto zone_par = kinetics::process_zones(
-      cpu1, model, zones, kinetics::SolveMethod::DenseDirect,
-      kinetics::ThreadMode::ZoneParallel, cpu_cores, cpu_mem);
+  auto zone_par =
+      kinetics::process_zones(cpu1, model, zones,
+                              kinetics::ThreadMode::ZoneParallel, cpu_cores,
+                              cpu_mem);
   auto trans_par = kinetics::process_zones(
-      cpu2, model, zones, kinetics::SolveMethod::DenseDirect,
-      kinetics::ThreadMode::TransitionParallel, cpu_cores, cpu_mem);
+      cpu2, model, zones, kinetics::ThreadMode::TransitionParallel,
+      cpu_cores, cpu_mem);
   std::printf("CPU fine-threading projection on the largest model: %0.2fX"
               " (paper: \"2.5X speedups or more\").\n",
               zone_par.modeled_time / trans_par.modeled_time);

@@ -2,4 +2,3 @@
 // Umbrella header for the mini-hypre module.
 
 #include "amg/boomeramg.hpp"
-#include "amg/struct_solver.hpp"

@@ -188,13 +188,6 @@ la::CsrMatrix direct_interpolation(const la::CsrMatrix& a,
 BoomerAmg::BoomerAmg(la::CsrMatrix a_fine, const AmgOptions& opts)
     : opts_(opts) {
   la::CsrMatrix a = std::move(a_fine);
-  auto charge_setup = [&](double nnz) {
-    if (opts_.setup_ctx != nullptr) {
-      // Strength graph + PMIS + interpolation + RAP: ~12 flops and ~70
-      // bytes per level nonzero (dominated by the sparse triple product).
-      opts_.setup_ctx->record_kernel({12.0 * nnz, 70.0 * nnz});
-    }
-  };
   for (std::size_t l = 0; l < opts_.max_levels; ++l) {
     AmgLevel level;
     level.a = std::move(a);
@@ -209,7 +202,6 @@ BoomerAmg::BoomerAmg(la::CsrMatrix a_fine, const AmgOptions& opts)
       levels_.push_back(std::move(level));
       break;
     }
-    charge_setup(static_cast<double>(level.a.nnz()));
     auto s = strength_graph(level.a, opts_.strength_theta);
     auto cf = pmis_coarsen(s);
     std::size_t nc = 0;

@@ -45,11 +45,6 @@ struct AmgOptions {
   std::size_t pre_sweeps = 1;
   std::size_t post_sweeps = 1;
   double jacobi_weight = 0.8;
-  /// When set, the setup phase (strength graph, coarsening, interpolation,
-  /// Galerkin RAP) charges its work to this context -- the paper's stated
-  /// follow-on: "Ongoing research will port the AMG setup phase in hypre
-  /// to GPUs." Null keeps setup unpriced (the paper's CPU-setup status).
-  core::ExecContext* setup_ctx = nullptr;
 };
 
 /// One level of the hierarchy.

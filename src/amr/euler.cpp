@@ -219,8 +219,8 @@ void EulerSolver::step(double dt) {
       above = done;
     }
   }
-  // Commit by copying interior rows. The ghosts stay put: on a fine level
-  // the coarse-fine ghosts come from prolong_into, not from fill_ghosts.
+  // Commit by copying interior rows. The ghosts stay put until the next
+  // fill_ghosts.
   for (std::size_t p = 0; p < level_->num_patches(); ++p) {
     auto& patch = level_->patch(p);
     const Box& b = patch.box();

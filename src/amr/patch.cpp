@@ -80,52 +80,4 @@ double PatchLevel::value_at(const std::string& field, std::int64_t i,
   return 0.0;
 }
 
-void prolong_into(const PatchLevel& coarse, Patch& fine_patch,
-                  const std::string& field, std::int64_t ratio) {
-  PatchField& dst = fine_patch.field(field);
-  const Box gb = fine_patch.box().grown(fine_patch.ghost());
-  for (std::int64_t i = gb.ilo; i <= gb.ihi; ++i) {
-    for (std::int64_t j = gb.jlo; j <= gb.jhi; ++j) {
-      if (fine_patch.box().contains(i, j)) continue;
-      auto fdiv = [ratio](std::int64_t a) {
-        return a >= 0 ? a / ratio : -((-a + ratio - 1) / ratio);
-      };
-      std::int64_t ci = fdiv(i), cj = fdiv(j);
-      // Clamp into the coarse domain (outflow-style at physical walls).
-      ci = std::max(coarse.domain().ilo, std::min(ci, coarse.domain().ihi));
-      cj = std::max(coarse.domain().jlo, std::min(cj, coarse.domain().jhi));
-      if (coarse.covers(ci, cj)) {
-        dst.at(i, j) = coarse.value_at(field, ci, cj);
-      }
-    }
-  }
-}
-
-void restrict_onto(const PatchLevel& fine, PatchLevel& coarse,
-                   const std::string& field, std::int64_t ratio) {
-  const double inv = 1.0 / static_cast<double>(ratio * ratio);
-  for (std::size_t cp = 0; cp < coarse.num_patches(); ++cp) {
-    Patch& patch = coarse.patch(cp);
-    PatchField& dst = patch.field(field);
-    for (std::int64_t i = patch.box().ilo; i <= patch.box().ihi; ++i) {
-      for (std::int64_t j = patch.box().jlo; j <= patch.box().jhi; ++j) {
-        const std::int64_t fi = i * ratio, fj = j * ratio;
-        if (!fine.covers(fi, fj)) continue;
-        double sum = 0.0;
-        bool all = true;
-        for (std::int64_t di = 0; di < ratio && all; ++di) {
-          for (std::int64_t dj = 0; dj < ratio; ++dj) {
-            if (!fine.covers(fi + di, fj + dj)) {
-              all = false;
-              break;
-            }
-            sum += fine.value_at(field, fi + di, fj + dj);
-          }
-        }
-        if (all) dst.at(i, j) = sum * inv;
-      }
-    }
-  }
-}
-
 }  // namespace coe::amr

@@ -1,9 +1,8 @@
 #pragma once
 // mini-SAMRAI (Section 4.10.5): integer index boxes, patches with ghost
-// cells, patch levels with ghost exchange, and a two-level refinement
-// hierarchy with prolongation/restriction. Patch field storage draws from
-// the Umpire-style MemoryPool so repeated regridding amortizes allocation
-// cost, exactly the design the paper describes.
+// cells, and patch levels with ghost exchange. Patch field storage draws
+// from the Umpire-style MemoryPool so repeated regridding amortizes
+// allocation cost, exactly the design the paper describes.
 
 #include <algorithm>
 #include <cassert>
@@ -43,19 +42,6 @@ struct Box {
   static Box intersect(const Box& a, const Box& b) {
     return {std::max(a.ilo, b.ilo), std::max(a.jlo, b.jlo),
             std::min(a.ihi, b.ihi), std::min(a.jhi, b.jhi)};
-  }
-
-  /// Refines cell indices by `ratio` (each cell becomes ratio x ratio).
-  Box refined(std::int64_t ratio) const {
-    return {ilo * ratio, jlo * ratio, (ihi + 1) * ratio - 1,
-            (jhi + 1) * ratio - 1};
-  }
-  Box coarsened(std::int64_t ratio) const {
-    auto fdiv = [](std::int64_t a, std::int64_t b) {
-      return a >= 0 ? a / b : -((-a + b - 1) / b);
-    };
-    return {fdiv(ilo, ratio), fdiv(jlo, ratio), fdiv(ihi, ratio),
-            fdiv(jhi, ratio)};
   }
 };
 
@@ -181,14 +167,5 @@ class PatchLevel {
   BoundaryKind bc_;
   std::vector<std::unique_ptr<Patch>> patches_;
 };
-
-/// Piecewise-constant prolongation of `field` from the coarse level into
-/// a fine patch's ghost+interior region not covered by fine siblings.
-void prolong_into(const PatchLevel& coarse, Patch& fine_patch,
-                  const std::string& field, std::int64_t ratio);
-
-/// Conservative (averaging) restriction of fine data onto coarse patches.
-void restrict_onto(const PatchLevel& fine, PatchLevel& coarse,
-                   const std::string& field, std::int64_t ratio);
 
 }  // namespace coe::amr

@@ -1,8 +1,6 @@
 #include "core/cost.hpp"
 
-#include <algorithm>
 #include <iomanip>
-#include <map>
 #include <sstream>
 
 namespace coe::hsim {
@@ -76,60 +74,6 @@ double reprice(const obs::TraceBuffer& trace, const CostModel& m,
     }
   }
   return t;
-}
-
-double reprice_streamed(const obs::TraceBuffer& trace, const CostModel& m) {
-  std::vector<double> stream_ready;
-  std::vector<double> kernel_slots(
-      static_cast<std::size_t>(std::max(1, m.machine().concurrent_kernels)),
-      0.0);
-  double copy_ready[2] = {0.0, 0.0};
-  double makespan = 0.0;
-  double floor = 0.0;
-  // Stream-event completion times, rebuilt on the replay clock from the
-  // record markers so wait edges bind at the repriced times, not the
-  // recorded ones.
-  std::map<std::int64_t, double> recorded;
-  for (const auto& e : trace.snapshot()) {
-    const auto s = static_cast<std::size_t>(e.stream < 0 ? 0 : e.stream);
-    if (s >= stream_ready.size()) stream_ready.resize(s + 1, floor);
-    if (obs::is_marker(e.kind)) {
-      switch (e.kind) {
-        case obs::TraceEvent::Kind::EventRecord:
-          recorded[e.dep] = stream_ready[s];
-          break;
-        case obs::TraceEvent::Kind::EventWait: {
-          const auto it = recorded.find(e.dep);
-          if (it != recorded.end() && it->second > stream_ready[s]) {
-            stream_ready[s] = it->second;
-          }
-          break;
-        }
-        default:  // Sync: join every stream at the replay makespan.
-          floor = makespan;
-          for (auto& r : stream_ready) r = makespan;
-          break;
-      }
-      continue;
-    }
-    double start = stream_ready[s];
-    double end = 0.0;
-    if (e.kind == obs::TraceEvent::Kind::Kernel) {
-      auto slot = std::min_element(kernel_slots.begin(), kernel_slots.end());
-      if (*slot > start) start = *slot;
-      end = start + m.kernel_time({e.flops, e.bytes});
-      *slot = end;
-    } else {
-      double& engine =
-          copy_ready[e.kind == obs::TraceEvent::Kind::TransferH2D ? 0 : 1];
-      if (engine > start) start = engine;
-      end = start + m.transfer_time(e.bytes);
-      engine = end;
-    }
-    stream_ready[s] = end;
-    if (end > makespan) makespan = end;
-  }
-  return makespan;
 }
 
 void publish(obs::MetricsRegistry& m, const std::string& prefix,

@@ -121,17 +121,6 @@ class CostModel {
 double reprice(const obs::TraceBuffer& trace, const CostModel& m,
                std::string_view phase = {});
 
-/// Re-prices a trace on `m` honoring stream overlap: events replay in
-/// issue order through the same scheduling the streamed ExecContext clock
-/// uses — per-stream in-order execution, kernels limited to the machine's
-/// `concurrent_kernels` slots, one DMA engine per transfer direction —
-/// with durations recomputed on the target machine. Returns the makespan.
-/// The host-side ordering edges (record_event/wait_event/sync) are carried
-/// in the trace as zero-duration markers and replayed at the repriced
-/// times, so on the machine the trace was recorded on this agrees exactly
-/// with ExecContext::simulated_time().
-double reprice_streamed(const obs::TraceBuffer& trace, const CostModel& m);
-
 /// Publishes a counter set into a metrics registry under dotted names
 /// ("<prefix>.flops", ".bytes", ".launches", ".transfers", ".h2d_bytes",
 /// ".d2h_bytes"). Deltas accumulate, so several contexts may publish under

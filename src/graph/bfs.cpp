@@ -175,33 +175,6 @@ double measured_bytes_per_edge(const Graph& g) {
   return ctx.counters().bytes / static_cast<double>(r.edges_traversed);
 }
 
-ComponentsResult connected_components(core::ExecContext& ctx,
-                                      const Graph& g) {
-  const std::size_t n = g.num_vertices();
-  ComponentsResult r;
-  r.label.resize(n);
-  for (std::uint32_t v = 0; v < n; ++v) r.label[v] = v;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    ++r.iterations;
-    ctx.record_kernel({2.0 * double(g.num_directed_edges()),
-                       12.0 * double(g.num_directed_edges())});
-    for (std::uint32_t v = 0; v < n; ++v) {
-      for (const auto u : g.neighbors(v)) {
-        if (r.label[u] < r.label[v]) {
-          r.label[v] = r.label[u];
-          changed = true;
-        }
-      }
-    }
-  }
-  std::vector<char> is_root(n, 0);
-  for (std::uint32_t v = 0; v < n; ++v) is_root[r.label[v]] = 1;
-  for (char b : is_root) r.num_components += (b != 0);
-  return r;
-}
-
 ScalePrediction scale_model(const GraphSystem& sys, double bytes_per_edge,
                             double bytes_per_vertex,
                             std::size_t edge_factor) {

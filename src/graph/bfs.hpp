@@ -70,17 +70,6 @@ bool validate_bfs(const Graph& g, std::uint32_t root, const BfsResult& r);
 /// real run (the calibration input to the distributed model).
 double measured_bytes_per_edge(const Graph& g);
 
-/// Connected components via label propagation (HavoqGT's second analytic).
-/// Returns per-vertex component ids (the minimum vertex id in each
-/// component) and the number of components.
-struct ComponentsResult {
-  std::vector<std::uint32_t> label;
-  std::size_t num_components = 0;
-  std::size_t iterations = 0;
-};
-ComponentsResult connected_components(core::ExecContext& ctx,
-                                      const Graph& g);
-
 /// Historical machine configuration for the Table 2 model.
 struct GraphSystem {
   std::string name;

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "la/dense.hpp"
-#include "la/krylov.hpp"
 
 namespace coe::kinetics {
 
@@ -44,38 +43,17 @@ std::vector<double> assemble_rate_matrix(const AtomicModel& m,
   return a;
 }
 
-std::vector<double> solve_zone(const AtomicModel& m, const Zone& z,
-                               SolveMethod method) {
+std::vector<double> solve_zone(const AtomicModel& m, const Zone& z) {
   const std::size_t n = m.num_levels();
   std::vector<double> rhs(n, 0.0);
   rhs[0] = 1.0;
 
   const auto a_flat = assemble_rate_matrix(m, z);
-  if (method == SolveMethod::DenseDirect) {
-    la::DenseMatrix a(n, n);
-    for (std::size_t i = 0; i < n * n; ++i) a.data()[i] = a_flat[i];
-    la::LuFactor lu(a);
-    lu.solve(rhs);
-    return rhs;
-  }
-
-  // Sparse iterative: CSR + Jacobi-preconditioned GMRES.
-  std::vector<la::Triplet> trips;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if (a_flat[i * n + j] != 0.0) {
-        trips.push_back({i, j, a_flat[i * n + j]});
-      }
-    }
-  }
-  auto csr = la::CsrMatrix::from_triplets(n, n, std::move(trips));
-  std::vector<double> x(n, 1.0 / static_cast<double>(n));
-  auto ctx = core::make_seq();
-  la::CsrOperator op(csr);
-  la::JacobiPreconditioner prec(csr);
-  la::gmres(ctx, op, prec, rhs, x, std::min<std::size_t>(n, 60),
-            {.max_iters = 2000, .rel_tol = 1e-12, .reduce = nullptr});
-  return x;
+  la::DenseMatrix a(n, n);
+  for (std::size_t i = 0; i < n * n; ++i) a.data()[i] = a_flat[i];
+  la::LuFactor lu(a);
+  lu.solve(rhs);
+  return rhs;
 }
 
 double kinetics_residual(const AtomicModel& m, const Zone& z,
@@ -95,8 +73,8 @@ double kinetics_residual(const AtomicModel& m, const Zone& z,
 }
 
 BatchReport process_zones(core::ExecContext& ctx, const AtomicModel& m,
-                          std::span<const Zone> zones, SolveMethod method,
-                          ThreadMode mode, std::size_t workers,
+                          std::span<const Zone> zones, ThreadMode mode,
+                          std::size_t workers,
                           double mem_bytes,
                           std::vector<std::vector<double>>* out) {
   BatchReport rep;
@@ -109,13 +87,7 @@ BatchReport process_zones(core::ExecContext& ctx, const AtomicModel& m,
   // matrix assembly, and the solve.
   const double rate_flops = 40.0 * ntrans;
   const double assemble_flops = 4.0 * ntrans + n;
-  double solve_flops;
-  if (method == SolveMethod::DenseDirect) {
-    solve_flops = 2.0 / 3.0 * n * n * n + 2.0 * n * n;
-  } else {
-    // Iterative: ~n/2 GMRES iterations of 2*nnz each (empirical fit).
-    solve_flops = 0.5 * n * 2.0 * (2.0 * ntrans + n);
-  }
+  const double solve_flops = 2.0 / 3.0 * n * n * n + 2.0 * n * n;
   const double per_zone = rate_flops + assemble_flops + solve_flops;
   rep.flops = per_zone * static_cast<double>(zones.size());
 
@@ -136,7 +108,7 @@ BatchReport process_zones(core::ExecContext& ctx, const AtomicModel& m,
   if (out != nullptr) {
     out->clear();
     out->reserve(zones.size());
-    for (const auto& z : zones) out->push_back(solve_zone(m, z, method));
+    for (const auto& z : zones) out->push_back(solve_zone(m, z));
   }
   ctx.record_kernel({rep.flops, rep.flops * 2.0});
 

@@ -1,10 +1,7 @@
 #pragma once
 // The minikin solve path: assemble the rate matrix for each zone and solve
-// for steady-state populations, either with a dense direct factorization
-// (the cuSOLVER path) or with a sparse preconditioned iterative solver
-// (the cuSPARSE-built solver of Section 4.3, needed because "AMGX can only
-// solve one (potentially large) system at a time, while Cretin must solve
-// multiple systems simultaneously").
+// for steady-state populations with a dense direct factorization (the
+// cuSOLVER path of Section 4.3).
 //
 // Two threading modes reproduce the paper's CPU/GPU memory asymmetry:
 //  * ZoneParallel (CPU): one worker per zone, each needing a full private
@@ -22,7 +19,6 @@
 
 namespace coe::kinetics {
 
-enum class SolveMethod { DenseDirect, SparseIterative };
 enum class ThreadMode { ZoneParallel, TransitionParallel };
 
 /// Assembles the steady-state rate matrix with the closure sum(N) = 1:
@@ -31,8 +27,7 @@ enum class ThreadMode { ZoneParallel, TransitionParallel };
 std::vector<double> assemble_rate_matrix(const AtomicModel& m, const Zone& z);
 
 /// Steady-state populations of one zone (normalized to 1).
-std::vector<double> solve_zone(const AtomicModel& m, const Zone& z,
-                               SolveMethod method);
+std::vector<double> solve_zone(const AtomicModel& m, const Zone& z);
 
 /// Residual ||R N||_inf of the kinetic equations (excluding the
 /// normalization row) -- the invariant tests check this is ~0.
@@ -53,8 +48,8 @@ struct BatchReport {
 /// threading mode. `workers` is the core/SM-lane count and `mem_bytes` the
 /// memory available for workspaces.
 BatchReport process_zones(core::ExecContext& ctx, const AtomicModel& m,
-                          std::span<const Zone> zones, SolveMethod method,
-                          ThreadMode mode, std::size_t workers,
+                          std::span<const Zone> zones, ThreadMode mode,
+                          std::size_t workers,
                           double mem_bytes,
                           std::vector<std::vector<double>>* out = nullptr);
 

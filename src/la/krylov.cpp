@@ -200,160 +200,4 @@ SolveResult cg(core::ExecContext& ctx, const Operator& a,
   return res;
 }
 
-SolveResult bicgstab(core::ExecContext& ctx, const Operator& a,
-                     const Preconditioner& m, std::span<const double> b,
-                     std::span<double> x, const SolveOptions& opts) {
-  const std::size_t n = a.rows();
-  std::vector<double> r(n), r0hat(n), p(n), v(n), s(n), t(n), phat(n), shat(n);
-
-  a.apply(ctx, x, v);
-  axpby(ctx, 1.0, b, -1.0, v, r);
-  copy(ctx, r, r0hat);
-  copy(ctx, r, p);
-
-  const double rnorm0 = norm2(ctx, r);
-  SolveResult res;
-  res.initial_residual = rnorm0;
-  res.final_residual = rnorm0;
-  if (done(opts, rnorm0, rnorm0) || rnorm0 == 0.0) {
-    res.converged = true;
-    return res;
-  }
-
-  double rho = dot(ctx, r0hat, r);
-  for (std::size_t it = 1; it <= opts.max_iters; ++it) {
-    m.apply(ctx, p, phat);
-    a.apply(ctx, phat, v);
-    const double r0v = dot(ctx, r0hat, v);
-    if (r0v == 0.0) break;
-    const double alpha = rho / r0v;
-    axpby(ctx, 1.0, r, -alpha, v, s);
-    double snorm = norm2(ctx, s);
-    res.iterations = it;
-    if (done(opts, snorm, rnorm0)) {
-      axpy(ctx, alpha, phat, x);
-      res.final_residual = snorm;
-      res.converged = true;
-      return res;
-    }
-    m.apply(ctx, s, shat);
-    a.apply(ctx, shat, t);
-    const double tt = dot(ctx, t, t);
-    if (tt == 0.0) break;
-    const double omega = dot(ctx, t, s) / tt;
-    axpy(ctx, alpha, phat, x);
-    axpy(ctx, omega, shat, x);
-    axpby(ctx, 1.0, s, -omega, t, r);
-    const double rnorm = norm2(ctx, r);
-    res.final_residual = rnorm;
-    if (done(opts, rnorm, rnorm0)) {
-      res.converged = true;
-      return res;
-    }
-    const double rho_new = dot(ctx, r0hat, r);
-    if (rho_new == 0.0 || omega == 0.0) break;
-    const double beta = (rho_new / rho) * (alpha / omega);
-    rho = rho_new;
-    // p = r + beta * (p - omega*v)
-    ctx.forall(n, {4.0, 32.0}, [&](std::size_t i) {
-      p[i] = r[i] + beta * (p[i] - omega * v[i]);
-    });
-  }
-  return res;
-}
-
-SolveResult gmres(core::ExecContext& ctx, const Operator& a,
-                  const Preconditioner& m, std::span<const double> b,
-                  std::span<double> x, std::size_t restart,
-                  const SolveOptions& opts) {
-  const std::size_t n = a.rows();
-  const std::size_t k = restart;
-  std::vector<std::vector<double>> v(k + 1, std::vector<double>(n));
-  std::vector<double> h((k + 1) * k, 0.0);
-  std::vector<double> cs(k), sn(k), g(k + 1), w(n), z(n);
-
-  SolveResult res;
-  double r0 = -1.0;
-  std::size_t total_it = 0;
-
-  for (std::size_t cycle = 0; total_it < opts.max_iters; ++cycle) {
-    a.apply(ctx, x, w);
-    axpby(ctx, 1.0, b, -1.0, w, v[0]);
-    double beta = norm2(ctx, v[0]);
-    if (r0 < 0.0) {
-      r0 = beta;
-      res.initial_residual = beta;
-    }
-    res.final_residual = beta;
-    if (done(opts, beta, r0) || beta == 0.0) {
-      res.converged = true;
-      return res;
-    }
-    scale(ctx, 1.0 / beta, v[0]);
-    std::fill(g.begin(), g.end(), 0.0);
-    g[0] = beta;
-
-    std::size_t j = 0;
-    for (; j < k && total_it < opts.max_iters; ++j, ++total_it) {
-      m.apply(ctx, v[j], z);
-      a.apply(ctx, z, w);
-      // Modified Gram-Schmidt.
-      for (std::size_t i = 0; i <= j; ++i) {
-        const double hij = dot(ctx, v[i], w);
-        h[i * k + j] = hij;
-        axpy(ctx, -hij, v[i], w);
-      }
-      const double hnext = norm2(ctx, w);
-      h[(j + 1) * k + j] = hnext;
-      if (hnext != 0.0) {
-        copy(ctx, w, v[j + 1]);
-        scale(ctx, 1.0 / hnext, v[j + 1]);
-      }
-      // Apply previous Givens rotations to the new column.
-      for (std::size_t i = 0; i < j; ++i) {
-        const double t1 = cs[i] * h[i * k + j] + sn[i] * h[(i + 1) * k + j];
-        const double t2 = -sn[i] * h[i * k + j] + cs[i] * h[(i + 1) * k + j];
-        h[i * k + j] = t1;
-        h[(i + 1) * k + j] = t2;
-      }
-      // New rotation.
-      const double denom =
-          std::sqrt(h[j * k + j] * h[j * k + j] + hnext * hnext);
-      if (denom == 0.0) {
-        ++j;
-        break;
-      }
-      cs[j] = h[j * k + j] / denom;
-      sn[j] = hnext / denom;
-      h[j * k + j] = denom;
-      h[(j + 1) * k + j] = 0.0;
-      g[j + 1] = -sn[j] * g[j];
-      g[j] *= cs[j];
-      res.iterations = total_it + 1;
-      res.final_residual = std::abs(g[j + 1]);
-      if (done(opts, res.final_residual, r0)) {
-        ++j;
-        res.converged = true;
-        break;
-      }
-    }
-
-    // Solve the small triangular system and update x through the
-    // preconditioner (right preconditioning: x += M^{-1} V y).
-    std::vector<double> y(j, 0.0);
-    for (std::size_t i = j; i-- > 0;) {
-      double s = g[i];
-      for (std::size_t l = i + 1; l < j; ++l) s -= h[i * k + l] * y[l];
-      y[i] = s / h[i * k + i];
-    }
-    std::fill(w.begin(), w.end(), 0.0);
-    for (std::size_t i = 0; i < j; ++i) axpy(ctx, y[i], v[i], w);
-    m.apply(ctx, w, z);
-    axpy(ctx, 1.0, z, x);
-
-    if (res.converged) return res;
-  }
-  return res;
-}
-
 }  // namespace coe::la

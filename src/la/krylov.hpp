@@ -1,7 +1,6 @@
 #pragma once
 // Krylov solvers (the hypre Krylov-layer substitute): preconditioned CG for
-// SPD systems, BiCGStab and restarted GMRES for nonsymmetric ones (Cretin's
-// rate matrices, the cuSPARSE-built iterative solver of Section 4.3).
+// SPD systems.
 
 #include <cstddef>
 #include <functional>
@@ -77,17 +76,6 @@ struct SolveResult {
 SolveResult cg(core::ExecContext& ctx, const Operator& a,
                const Preconditioner& m, std::span<const double> b,
                std::span<double> x, const SolveOptions& opts = {});
-
-/// Preconditioned BiCGStab.
-SolveResult bicgstab(core::ExecContext& ctx, const Operator& a,
-                     const Preconditioner& m, std::span<const double> b,
-                     std::span<double> x, const SolveOptions& opts = {});
-
-/// Right-preconditioned GMRES(restart).
-SolveResult gmres(core::ExecContext& ctx, const Operator& a,
-                  const Preconditioner& m, std::span<const double> b,
-                  std::span<double> x, std::size_t restart = 30,
-                  const SolveOptions& opts = {});
 
 /// Adapts a CsrMatrix to the Operator interface.
 class CsrOperator final : public Operator {

@@ -18,25 +18,21 @@ struct PairResult {
   double virial = 0.0;  ///< sum r . f over pairs (for pressure)
 };
 
-/// Evaluates the potential over rows [row_lo, row_hi) of the half neighbor
-/// list, accumulating forces into p.f{x,y,z}. The row-range form is the
-/// replicated-data decomposition's unit of work: each rank takes a slice of
-/// rows and the partial force arrays are summed by one collective
-/// (md/replicated.hpp). Charged to the context as one fused kernel
+/// Evaluates the potential over the half neighbor list, accumulating
+/// forces into p.f{x,y,z}. Charged to the context as one fused kernel
 /// (ddcMD's force kernel is the hot spot the paper hand-optimized).
 template <typename Potential>
 PairResult compute_pair_forces(core::ExecContext& ctx, Particles& p,
                                const Box& box, const NeighborList& nl,
-                               const Potential& pot, std::size_t row_lo,
-                               std::size_t row_hi) {
+                               const Potential& pot) {
   const double rc2 = pot.rcut2();
   const auto row = nl.row_ptr();
   const auto nbr = nl.pair_j();
   double energy = 0.0, virial = 0.0;
   // ~45 flops and ~200 bytes per neighbor-list entry (gather + scatter).
-  const double npairs = static_cast<double>(row[row_hi] - row[row_lo]);
+  const double npairs = static_cast<double>(row[p.n] - row[0]);
   ctx.record_kernel({45.0 * npairs, 200.0 * npairs});
-  for (std::size_t i = row_lo; i < row_hi; ++i) {
+  for (std::size_t i = 0; i < p.n; ++i) {
     for (std::size_t k = row[i]; k < row[i + 1]; ++k) {
       const std::size_t j = nbr[k];
       const double dx = box.wrap(p.x[i] - p.x[j]);
@@ -56,14 +52,6 @@ PairResult compute_pair_forces(core::ExecContext& ctx, Particles& p,
     }
   }
   return {energy, virial};
-}
-
-/// Full-list evaluation (all rows).
-template <typename Potential>
-PairResult compute_pair_forces(core::ExecContext& ctx, Particles& p,
-                               const Box& box, const NeighborList& nl,
-                               const Potential& pot) {
-  return compute_pair_forces(ctx, p, box, nl, pot, 0, p.n);
 }
 
 /// Harmonic bond i-j with rest length r0 and stiffness k.

@@ -36,7 +36,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/machine.hpp"
 #include "obs/metrics.hpp"
 #include "resil/fault.hpp"
 
@@ -48,12 +47,6 @@ struct TrafficStats {
   std::size_t allreduces = 0;
   std::size_t barriers = 0;
   std::size_t retries = 0;  ///< deadline expiries retried with backoff
-
-  /// Prices the recorded traffic on a cluster model (sequentialized upper
-  /// bound: every message pays alpha + beta * bytes).
-  double modeled_time(const hsim::ClusterModel& net) const {
-    return static_cast<double>(messages) * net.alpha + net.beta * bytes;
-  }
 };
 
 /// A blocking operation exceeded its real-time deadline (no matching send,

@@ -1,8 +1,8 @@
 #pragma once
-// Per-link occupancy repricing (DESIGN.md section 15.4). The original
-// mpi.modeled_time is a fully sequentialized bound — every message in the
-// whole run pays alpha + beta*bytes back to back, as if one wire carried
-// everything and nobody computed meanwhile. reprice() replays a NetLog
+// Per-link occupancy repricing (DESIGN.md section 15.4). A fully
+// sequentialized bound (sequential_s) has every message in the whole run
+// pay alpha + beta*bytes back to back, as if one wire carried everything
+// and nobody computed meanwhile. reprice() replays a NetLog
 // against a ClusterModel with per-rank injection/ejection engines and
 // per-rank program clocks, so messages from different nodes overlap each
 // other and logged compute hides transfers posted before it. The gap

@@ -10,7 +10,7 @@
 // Beyond kernels and transfers the buffer also records zero-duration
 // *marker* events for the host-side ordering edges (record_event,
 // wait_event, sync). Markers carry no cost; they exist so an offline
-// consumer (coe::prof, hsim::reprice_streamed) can rebuild the full
+// consumer (coe::prof) can rebuild the full
 // dependency DAG of a streamed run instead of treating the streams as
 // free-running.
 //
@@ -155,8 +155,8 @@ void write_chrome_trace(std::ostream& os, const TraceBuffer& buf,
 std::string chrome_trace_json(const TraceBuffer& buf);
 
 /// Parses a Chrome trace document produced by write_chrome_trace back into
-/// a TraceBuffer (the round trip coe_report and hsim::reprice_streamed use
-/// to consume on-disk TRACE_*.json). Events this writer did not emit (flow
+/// a TraceBuffer (the round trip coe_report uses to consume on-disk
+/// TRACE_*.json). Events this writer did not emit (flow
 /// events, metadata rows) are skipped; dropped counts and the machine
 /// metadata are restored. Throws JsonError on malformed documents.
 TraceBuffer parse_chrome_trace(std::string_view text);

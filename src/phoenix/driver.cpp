@@ -219,52 +219,6 @@ std::vector<double> RankContext::part_recv(int from_part, int to_part,
   return v;
 }
 
-void RankContext::part_allreduce(
-    int chan, const std::function<std::span<double>(int)>& buf) {
-  // Fixed binary tree over part indices. Per level every owned sender
-  // posts before any owned receiver blocks, so the phase is deadlock-free
-  // on the eager substrate regardless of the part->rank mapping; and the
-  // combine order v[p] += v[p + stride] in ascending p is mapping-
-  // independent, so the result is bitwise identical under shrink, spare
-  // substitution, or the fault-free run.
-  int levels = 0;
-  for (int stride = 1; stride < nparts_; stride *= 2, ++levels) {
-    const int cu = chan + 2 * levels;
-    for (int q : owned_) {
-      if (q % (2 * stride) == stride) {
-        auto s = buf(q);
-        part_send(q, q - stride, cu,
-                  std::vector<double>(s.begin(), s.end()));
-      }
-    }
-    for (int p : owned_) {
-      if (p % (2 * stride) == 0 && p + stride < nparts_) {
-        std::vector<double> in = part_recv(p + stride, p, cu);
-        auto d = buf(p);
-        for (std::size_t i = 0; i < in.size(); ++i) d[i] += in[i];
-      }
-    }
-  }
-  for (int l = levels - 1; l >= 0; --l) {
-    const int stride = 1 << l;
-    const int cd = chan + 2 * l + 1;
-    for (int p : owned_) {
-      if (p % (2 * stride) == 0 && p + stride < nparts_) {
-        auto s = buf(p);
-        part_send(p, p + stride, cd,
-                  std::vector<double>(s.begin(), s.end()));
-      }
-    }
-    for (int q : owned_) {
-      if (q % (2 * stride) == stride) {
-        std::vector<double> in = part_recv(q - stride, q, cd);
-        auto d = buf(q);
-        std::copy(in.begin(), in.end(), d.begin());
-      }
-    }
-  }
-}
-
 void RankContext::log_compute() {
   const double sim = ctx_.simulated_time();
   if (sim > logged_sim_) {

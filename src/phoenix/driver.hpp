@@ -2,8 +2,8 @@
 // Survivable distributed runs (DESIGN.md §17): the recovery orchestration
 // that lets a multi-rank driver ride through injected rank kills. The
 // world's work is decomposed into fixed logical *parts* (one per initial
-// worker rank); parts — not ranks — own the numerics, the checkpoints, and
-// the reduction tree, so a repair can remap parts onto survivors (shrink)
+// worker rank); parts — not ranks — own the numerics and the checkpoints,
+// so a repair can remap parts onto survivors (shrink)
 // or onto a warm spare adopting the dead rank's id (spare substitution)
 // without perturbing a single bit of the arithmetic.
 //
@@ -34,10 +34,10 @@
 //
 // Logged collectives would deadlock a net::replay whose ranks died, so
 // survivable drivers never log Allreduce/Barrier events: votes ride the
-// unlogged Central reduction, and data reductions use a fixed binary
-// part-tree of real point-to-point messages (bitwise stable under any
-// part->rank mapping). All logged tags are epoch-salted so pre- and
-// post-repair traffic cannot alias.
+// unlogged Central reduction, and app data moves only as part-addressed
+// point-to-point messages (bitwise stable under any part->rank mapping).
+// All logged tags are epoch-salted so pre- and post-repair traffic cannot
+// alias.
 
 #include <cstddef>
 #include <cstdint>
@@ -46,7 +46,6 @@
 #include <memory>
 #include <queue>
 #include <set>
-#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -127,10 +126,10 @@ class RankContext;
 /// Application plug-in. `make` builds one part's app (called for initial
 /// ownership, adoption, and fresh rebuilds — it must be deterministic in
 /// the part index). `step` advances every part the context owns by one
-/// step, using only RankContext communication (part_send/part_recv/
-/// part_allreduce) — never unlogged side channels and never logged
-/// collectives. `finish` runs once per surviving rank after the final
-/// consistency vote; it must be communication-free.
+/// step, using only RankContext communication (part_send/part_recv) —
+/// never unlogged side channels and never logged collectives. `finish`
+/// runs once per surviving rank after the final consistency vote; it must
+/// be communication-free.
 struct SurvivableHooks {
   std::function<std::unique_ptr<resil::Checkpointable>(RankContext&, int)>
       make;
@@ -150,9 +149,8 @@ namespace detail {
 struct Shared;
 }
 
-/// Per-rank runtime handed to the hooks. Owned parts, their apps, the
-/// part-addressed messaging, and the fixed-tree reduction all live here;
-/// the recovery machinery is internal.
+/// Per-rank runtime handed to the hooks. Owned parts, their apps and the
+/// part-addressed messaging live here; the recovery machinery is internal.
 class RankContext {
  public:
   /// Current logical rank id (an adopted spare reports the adopted id).
@@ -174,15 +172,6 @@ class RankContext {
   void part_send(int from_part, int to_part, int chan,
                  std::vector<double> payload);
   std::vector<double> part_recv(int from_part, int to_part, int chan);
-
-  /// In-place sum-allreduce over all parts of the vectors `buf(p)` (valid
-  /// for owned parts; all the same length): a fixed binary tree over part
-  /// indices — combine v[p] += v[p + stride] in part order, broadcast
-  /// down — so the association (and hence every bit of the result) is
-  /// independent of the part->rank mapping. Uses channels
-  /// [chan, chan + 2*levels).
-  void part_allreduce(int chan,
-                      const std::function<std::span<double>(int)>& buf);
 
   /// Flushes the simulated-time delta accrued since the last flush into
   /// the traffic log as a Compute event.

@@ -7,4 +7,3 @@
 #include "phoenix/ckpt.hpp"
 #include "phoenix/driver.hpp"
 #include "phoenix/failure.hpp"
-#include "phoenix/krylov.hpp"

@@ -18,8 +18,7 @@ WaveSolver::WaveSolver(core::ExecContext& ctx, std::size_t nx, std::size_t ny,
                        std::size_t nz, double length, double c,
                        WaveOptions opts)
     : ctx_(&ctx), nx_(nx), ny_(ny), nz_(nz),
-      h_(length / static_cast<double>(nx + 1)), c_(c), opts_(opts),
-      c_max_(c) {
+      h_(length / static_cast<double>(nx + 1)), c_(c), opts_(opts) {
   const std::size_t total = (nx_ + 4) * (ny_ + 4) * (nz_ + 4);
   u_.assign(total, 0.0);
   u_prev_.assign(total, 0.0);
@@ -29,27 +28,8 @@ WaveSolver::WaveSolver(core::ExecContext& ctx, std::size_t nx, std::size_t ny,
 }
 
 double WaveSolver::stable_dt() const {
-  // 4th-order stencil CFL in 3D; 0.5 safety; heterogeneous media use the
-  // fastest material.
-  return 0.5 * h_ / (c_max_ * std::sqrt(3.0) * 1.16);
-}
-
-void WaveSolver::set_wave_speed(
-    const std::function<double(double, double, double)>& c) {
-  c2_field_.assign(u_.size(), c_ * c_);
-  c_max_ = 0.0;
-  for (std::size_t i = 0; i < nx_; ++i) {
-    for (std::size_t j = 0; j < ny_; ++j) {
-      for (std::size_t k = 0; k < nz_; ++k) {
-        const double x = h_ * static_cast<double>(i + 1);
-        const double y = h_ * static_cast<double>(j + 1);
-        const double z = h_ * static_cast<double>(k + 1);
-        const double ci = c(x, y, z);
-        c2_field_[idx(i + 2, j + 2, k + 2)] = ci * ci;
-        c_max_ = std::max(c_max_, ci);
-      }
-    }
-  }
+  // 4th-order stencil CFL in 3D; 0.5 safety.
+  return 0.5 * h_ / (c_ * std::sqrt(3.0) * 1.16);
 }
 
 void WaveSolver::set_initial(
@@ -92,7 +72,6 @@ void WaveSolver::set_initial(
 }
 
 double WaveSolver::bytes_per_point() const {
-  // (heterogeneous media add one c^2 load per point, charged below)
   // Naive: 13 stencil loads miss cache for 3 of 5 planes per axis, plus
   // u_prev load and u_next store. Tiled: each value loaded ~once from main
   // memory (plus prev/next traffic).
@@ -140,31 +119,21 @@ void WaveSolver::fill_ghosts() {
 
 void WaveSolver::apply_laplacian_and_update(double dt) {
   const double ih2 = 1.0 / (h_ * h_);
-  const double cdt2_const = c_ * c_ * dt * dt;
-  const double dt2 = dt * dt;
-  const bool hetero = heterogeneous();
+  const double cdt2 = c_ * c_ * dt * dt;
   const std::size_t sj = nz_ + 4;
   const std::size_t si = (ny_ + 4) * (nz_ + 4);
 
-  // The RAJA path runs the same numerics at a modeled ~30% overhead.
-  const double abstraction = opts_.raja_abstraction ? 1.3 : 1.0;
-
   auto lap_at = [&](std::size_t id) {
     return lap4(u_.data(), id, si, sj, ih2);
-  };
-
-  auto cdt2_at = [&](std::size_t id) {
-    return hetero ? c2_field_[id] * dt2 : cdt2_const;
   };
   if (opts_.fused) {
     // One kernel via the fusion builder: Laplacian + leapfrog update in a
     // single launch, the per-point lap store+reload elided. The stage
     // workloads sum (after elision) to exactly `w`, the same total the
     // hand-fused kernel charged, so the optimization ladder is unchanged.
-    const hsim::Workload w_lap{
-        abstraction * (flops_per_point() - 8.0),
-        abstraction * (bytes_per_point() - 16.0 + (hetero ? 8.0 : 0.0))};
-    const hsim::Workload w_upd{abstraction * 8.0, abstraction * 32.0};
+    const hsim::Workload w_lap{flops_per_point() - 8.0,
+                               bytes_per_point() - 16.0};
+    const hsim::Workload w_upd{8.0, 32.0};
     ctx_->fused3(nx_, ny_, nz_)
         .then(w_lap,
               [&](std::size_t i, std::size_t j, std::size_t k) {
@@ -174,10 +143,9 @@ void WaveSolver::apply_laplacian_and_update(double dt) {
         .then(w_upd,
               [&](std::size_t i, std::size_t j, std::size_t k) {
                 const std::size_t id = idx(i + 2, j + 2, k + 2);
-                u_next_[id] =
-                    2.0 * u_[id] - u_prev_[id] + cdt2_at(id) * lap_[id];
+                u_next_[id] = 2.0 * u_[id] - u_prev_[id] + cdt2 * lap_[id];
               })
-        .elide(abstraction * 16.0)
+        .elide(16.0)
         .launch();
   } else {
     // Two kernels with an intermediate array (the unfused baseline).
@@ -191,7 +159,7 @@ void WaveSolver::apply_laplacian_and_update(double dt) {
                                                   std::size_t j,
                                                   std::size_t k) {
       const std::size_t id = idx(i + 2, j + 2, k + 2);
-      u_next_[id] = 2.0 * u_[id] - u_prev_[id] + cdt2_at(id) * lap_[id];
+      u_next_[id] = 2.0 * u_[id] - u_prev_[id] + cdt2 * lap_[id];
     });
   }
 }
@@ -223,16 +191,14 @@ void WaveSolver::step(double dt) {
       opts_.use_streams && !opts_.forcing_on_device && !sources_.empty();
   prof::Scope step_span(opts_.profiler, ctx_, "wave_step");
   // Declare the step's device working set to the residency arena (no-op
-  // without one): the three rotating fields plus the Laplacian scratch, and
-  // the c^2 field when the medium is heterogeneous. Under an over-committed
-  // arena these touches trigger priced evictions/refaults.
+  // without one): the three rotating fields plus the Laplacian scratch.
+  // Under an over-committed arena these touches trigger priced
+  // evictions/refaults.
   const double fb = static_cast<double>(u_.size()) * 8.0;
   ctx_->touch_device("wave.u", fb, core::MemAccess::Read);
   ctx_->touch_device("wave.u_prev", fb, core::MemAccess::Read);
   ctx_->touch_device("wave.u_next", fb, core::MemAccess::Write);
   if (!opts_.fused) ctx_->touch_device("wave.lap", fb, core::MemAccess::Write);
-  if (heterogeneous())
-    ctx_->touch_device("wave.c2", fb, core::MemAccess::Read);
   core::ExecContext::StreamEvent upload_done{};
   if (stream_offload) {
     prof::Scope s(opts_.profiler, ctx_, "forcing_upload");

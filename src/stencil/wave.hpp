@@ -35,9 +35,6 @@ struct WaveOptions {
   bool tiled = false;
   bool fused = true;
   bool forcing_on_device = true;
-  /// Models the RAJA-vs-CUDA abstraction penalty the SW4 team measured
-  /// ("approximately 30%"): same numerics, 1.3x modeled kernel cost.
-  bool raja_abstraction = false;
   /// Issue the per-step work onto simulated streams: the host-forcing
   /// upload rides stream 1 and hides under the stencil, and the shake-map
   /// kernel rides stream 2 so it overlaps the next step's stencil instead
@@ -77,13 +74,6 @@ class WaveSolver : public resil::Checkpointable {
                    const std::function<double(double, double, double)>& v0,
                    double dt);
 
-  /// Heterogeneous material: wave speed as a function of position (the
-  /// paper's follow-on work, "model slower wave speeds"). Overrides the
-  /// constant speed; stable_dt() then uses the maximum speed.
-  void set_wave_speed(
-      const std::function<double(double, double, double)>& c);
-  bool heterogeneous() const { return !c2_field_.empty(); }
-
   void add_source(PointSource src) { sources_.push_back(src); }
 
   /// Advances one timestep of size dt.
@@ -113,7 +103,7 @@ class WaveSolver : public resil::Checkpointable {
   double flops_per_point() const;
 
   /// Checkpointable: the leapfrog state (u, u_prev), the shake map, and
-  /// the clock. Sources and material fields are configuration, not state.
+  /// the clock. Sources are configuration, not state.
   /// step() refreshes u's ghost shell after the buffer rotation, so the
   /// saved blob is Markov — restore + replay is bitwise reproducible even
   /// though the scratch buffer is not captured.
@@ -135,8 +125,6 @@ class WaveSolver : public resil::Checkpointable {
   WaveOptions opts_;
   // Ghosted arrays (2-deep ghosts for the 4th-order stencil).
   std::vector<double> u_, u_prev_, u_next_, lap_;
-  std::vector<double> c2_field_;  ///< per-point c^2 (heterogeneous media)
-  double c_max_;                  ///< for the CFL bound
   std::vector<double> shake_;
   std::vector<PointSource> sources_;
   double t_ = 0.0;

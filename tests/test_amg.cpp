@@ -1,5 +1,5 @@
 // Tests for the mini-hypre module: BoomerAMG setup internals, V-cycle
-// convergence, AMG-preconditioned CG, and the structured BoxLoop solver.
+// convergence and AMG-preconditioned CG.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -270,78 +270,6 @@ TEST(BoomerAmg, SolvePhaseIsSpmvDominatedOnDevice) {
   EXPECT_GT(gpu.counters().launches, 10u);
   EXPECT_GT(gpu.counters().flops, 0.0);
   EXPECT_GT(gpu.simulated_time(), 0.0);
-}
-
-class StructSolverGrid : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(StructSolverGrid, SolvesPoissonFast) {
-  const std::size_t n = GetParam();  // 2^k - 1 grids
-  amg::StructSolver solver(n, n, amg::StructStencil5{});
-  EXPECT_GE(solver.num_levels(), 2u);
-  std::vector<double> f(n * n, 1.0), u(n * n, 0.0);
-  auto ctx = core::make_seq();
-  const double r0 = solver.residual_norm(ctx, f, u);
-  const std::size_t cycles = solver.solve(ctx, f, u, 1e-9, 60);
-  EXPECT_LE(cycles, 15u) << "geometric MG should converge in ~10 cycles";
-  EXPECT_LT(solver.residual_norm(ctx, f, u), 1e-8 * r0 + 1e-12);
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, StructSolverGrid,
-                         ::testing::Values(15, 31, 63));
-
-TEST(StructSolver, MatchesBoomerAmgSolution) {
-  const std::size_t n = 15;
-  amg::StructSolver pfmg(n, n, amg::StructStencil5{});
-  auto a = la::poisson2d(n, n);
-  amg::BoomerAmg boomer(a, {});
-  std::vector<double> f(n * n), u1(n * n, 0.0), u2(n * n, 0.0);
-  core::Rng rng(3);
-  for (auto& v : f) v = rng.uniform(-1.0, 1.0);
-  auto ctx = core::make_seq();
-  pfmg.solve(ctx, f, u1, 1e-11, 60);
-  boomer.solve(ctx, f, u2, 1e-11, 200);
-  // poisson2d's (i + j*nx) and StructSolver's (i*ny + j) produce the same
-  // abstract matrix on a square grid, so the flat vectors must agree.
-  for (std::size_t k = 0; k < n * n; ++k) EXPECT_NEAR(u1[k], u2[k], 1e-6);
-}
-
-TEST(BoxLoop, VisitsExactlyTheBox) {
-  auto ctx = core::make_seq();
-  std::vector<int> hits(8 * 8, 0);
-  amg::Box2 box{2, 5, 3, 7};
-  amg::box_loop(ctx, box, {}, [&](std::size_t i, std::size_t j) {
-    hits[i * 8 + j] += 1;
-  });
-  int total = 0;
-  for (std::size_t i = 0; i < 8; ++i) {
-    for (std::size_t j = 0; j < 8; ++j) {
-      const bool inside = i >= 2 && i < 5 && j >= 3 && j < 7;
-      EXPECT_EQ(hits[i * 8 + j], inside ? 1 : 0);
-      total += hits[i * 8 + j];
-    }
-  }
-  EXPECT_EQ(total, int(box.size()));
-}
-
-
-TEST(BoomerAmg, GpuSetupOptionChargesWork) {
-  // The paper's follow-on work: AMG setup on the GPU. With setup_ctx set,
-  // hierarchy construction records kernels; without it, setup is silent.
-  auto a = la::poisson2d(20, 20);
-  auto gpu = core::make_device();
-  amg::AmgOptions opts;
-  opts.setup_ctx = &gpu;
-  amg::BoomerAmg with_setup(a, opts);
-  EXPECT_GT(gpu.counters().launches, 0u);
-  EXPECT_GT(gpu.simulated_time(), 0.0);
-
-  auto gpu2 = core::make_device();
-  amg::BoomerAmg silent(la::poisson2d(20, 20), {});
-  EXPECT_EQ(gpu2.counters().launches, 0u);
-  // Same numerical hierarchy either way.
-  EXPECT_EQ(with_setup.num_levels(), silent.num_levels());
-  EXPECT_DOUBLE_EQ(with_setup.operator_complexity(),
-                   silent.operator_complexity());
 }
 
 }  // namespace

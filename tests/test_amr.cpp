@@ -1,7 +1,7 @@
 // Tests for the mini-SAMRAI module: box algebra, ghost exchange, pool-
-// backed patch storage, prolongation/restriction, and the CleverLeaf Euler
-// solver (Sod shock physics, conservation, multi-patch equivalence, and
-// bitwise pins of fields, timesteps and kernel counters).
+// backed patch storage, and the CleverLeaf Euler solver (Sod shock physics,
+// conservation, multi-patch equivalence, and bitwise pins of fields,
+// timesteps and kernel counters).
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "amr/euler.hpp"
-#include "amr/two_level.hpp"
 
 namespace {
 
@@ -32,9 +31,6 @@ TEST(Box, Algebra) {
   EXPECT_EQ(i.ihi, 9);
   EXPECT_EQ(i.jlo, 3);
   EXPECT_TRUE(amr::Box::intersect(a, amr::Box{20, 20, 30, 30}).empty());
-  auto r = a.refined(2);
-  EXPECT_EQ(r.ni(), 20);
-  EXPECT_EQ(r.coarsened(2).ni(), a.ni());
 }
 
 TEST(Patch, PoolBackedFields) {
@@ -107,47 +103,6 @@ TEST(PatchLevel, OutflowClampsAtWalls) {
   level.fill_ghosts("f");
   EXPECT_DOUBLE_EQ(p.field("f").at(-1, 3), 0.0);  // clamped to i = 0
   EXPECT_DOUBLE_EQ(p.field("f").at(8, 3), 7.0);   // clamped to i = 7
-}
-
-TEST(Refinement, RestrictionAverages) {
-  core::MemoryPool pool;
-  amr::PatchLevel coarse(pool, amr::Box{0, 0, 7, 7}, 1,
-                         amr::BoundaryKind::Outflow);
-  amr::PatchLevel fine(pool, amr::Box{0, 0, 15, 15}, 1,
-                       amr::BoundaryKind::Outflow);
-  auto& cp = coarse.add_patch(amr::Box{0, 0, 7, 7});
-  auto& fp = fine.add_patch(amr::Box{4, 4, 11, 11});
-  cp.add_field("f");
-  fp.add_field("f");
-  for (std::int64_t i = 4; i <= 11; ++i) {
-    for (std::int64_t j = 4; j <= 11; ++j) {
-      fp.field("f").at(i, j) = double(i + j);
-    }
-  }
-  amr::restrict_onto(fine, coarse, "f", 2);
-  // Coarse cell (2,2) covers fine cells (4..5, 4..5): mean of 8,9,9,10.
-  EXPECT_DOUBLE_EQ(cp.field("f").at(2, 2), 9.0);
-  // Uncovered coarse cells untouched.
-  EXPECT_DOUBLE_EQ(cp.field("f").at(0, 0), 0.0);
-}
-
-TEST(Refinement, ProlongationFillsFineGhosts) {
-  core::MemoryPool pool;
-  amr::PatchLevel coarse(pool, amr::Box{0, 0, 7, 7}, 1,
-                         amr::BoundaryKind::Outflow);
-  auto& cp = coarse.add_patch(amr::Box{0, 0, 7, 7});
-  cp.add_field("f");
-  for (std::int64_t i = 0; i <= 7; ++i) {
-    for (std::int64_t j = 0; j <= 7; ++j) {
-      cp.field("f").at(i, j) = double(10 * i + j);
-    }
-  }
-  amr::Patch fp(pool, amr::Box{4, 4, 11, 11}, 2);
-  fp.add_field("f");
-  amr::prolong_into(coarse, fp, "f", 2);
-  // Fine ghost (3, 6) -> coarse (1, 3) = 13.
-  EXPECT_DOUBLE_EQ(fp.field("f").at(3, 6), 13.0);
-  EXPECT_DOUBLE_EQ(fp.field("f").at(12, 12), 66.0);
 }
 
 TEST(Euler, SodShockQualitative) {
@@ -357,137 +312,6 @@ TEST(EulerPin, FourPatchFieldsEqualOnePatchBitwise) {
     EXPECT_EQ(four.bits, one.bits);
     EXPECT_EQ(four.dt_bits, one.dt_bits);
   }
-}
-
-TEST(TwoLevel, FreeStreamPreserved) {
-  // A uniform moving gas must remain exactly uniform through the
-  // coarse/fine cycle (prolongation and restriction of constants are
-  // identities; both solvers preserve free streams).
-  core::MemoryPool pool;
-  amr::PatchLevel coarse(pool, amr::Box{0, 0, 15, 15}, 2,
-                         amr::BoundaryKind::Periodic);
-  coarse.add_patch(amr::Box{0, 0, 15, 15});
-  amr::PatchLevel fine(pool, amr::Box{0, 0, 31, 31}, 2,
-                       amr::BoundaryKind::Periodic);
-  fine.add_patch(amr::Box{8, 8, 23, 23});
-  auto ctx = core::make_seq();
-  amr::EulerConfig cfg;
-  cfg.dx = cfg.dy = 1.0 / 16.0;
-  amr::TwoLevelEuler sim(ctx, coarse, fine, 2, cfg);
-  sim.init([](double, double) {
-    amr::PrimState s;
-    s.rho = 1.0;
-    s.u = 0.4;
-    s.v = -0.2;
-    s.p = 1.0;
-    return s;
-  });
-  for (int step = 0; step < 10; ++step) sim.step(sim.compute_dt());
-  for (std::int64_t i = 0; i < 16; ++i) {
-    for (std::int64_t j = 0; j < 16; ++j) {
-      const auto s = sim.best_at(i, j);
-      EXPECT_NEAR(s.rho, 1.0, 1e-12);
-      EXPECT_NEAR(s.u, 0.4, 1e-12);
-      EXPECT_NEAR(s.p, 1.0, 1e-11);
-    }
-  }
-}
-
-TEST(TwoLevel, RefinementSharpensTheShock) {
-  // Sod tube with the fine level over the shock region: the two-level
-  // solution must be closer to a fine-everywhere reference than the
-  // coarse-only run (the whole point of SAMR).
-  const std::int64_t n = 64;
-  auto sod_xy = [n](double x, double) {
-    return amr::sod_state(std::int64_t(x), n / 2);
-  };
-
-  // Reference: uniform fine grid (2x).
-  core::MemoryPool pool_ref;
-  amr::PatchLevel ref_level(pool_ref, amr::Box{0, 0, 2 * n - 1, 7}, 2,
-                            amr::BoundaryKind::Outflow);
-  ref_level.add_patch(amr::Box{0, 0, 2 * n - 1, 7});
-  auto ctx = core::make_seq();
-  amr::EulerConfig ref_cfg;
-  ref_cfg.dx = ref_cfg.dy = 0.5 / double(n);
-  amr::EulerSolver ref(ctx, ref_level, ref_cfg);
-  ref.init([&](std::int64_t i, std::int64_t) {
-    return amr::sod_state(i, n);  // same physical interface
-  });
-  ref.advance(0.1);
-
-  auto error_vs_ref = [&](auto&& value_at) {
-    double err = 0.0;
-    for (std::int64_t i = 0; i < n; ++i) {
-      const double fine_avg = 0.5 * (ref.primitive_at(2 * i, 2).rho +
-                                     ref.primitive_at(2 * i + 1, 2).rho);
-      err += std::abs(value_at(i) - fine_avg);
-    }
-    return err / double(n);
-  };
-
-  // Coarse-only run.
-  core::MemoryPool pool_c;
-  amr::PatchLevel conly(pool_c, amr::Box{0, 0, n - 1, 3}, 2,
-                        amr::BoundaryKind::Outflow);
-  conly.add_patch(amr::Box{0, 0, n - 1, 3});
-  amr::EulerConfig cfg;
-  cfg.dx = cfg.dy = 1.0 / double(n);
-  amr::EulerSolver coarse_only(ctx, conly, cfg);
-  coarse_only.init([&](std::int64_t i, std::int64_t) {
-    return amr::sod_state(i, n / 2);
-  });
-  coarse_only.advance(0.1);
-  const double e_coarse = error_vs_ref([&](std::int64_t i) {
-    return coarse_only.primitive_at(i, 1).rho;
-  });
-
-  // Two-level run with the fine patch over the evolving wave fan.
-  core::MemoryPool pool_t;
-  amr::PatchLevel coarse(pool_t, amr::Box{0, 0, n - 1, 3}, 2,
-                         amr::BoundaryKind::Outflow);
-  coarse.add_patch(amr::Box{0, 0, n - 1, 3});
-  amr::PatchLevel fine(pool_t, amr::Box{0, 0, 2 * n - 1, 7}, 2,
-                       amr::BoundaryKind::Outflow);
-  fine.add_patch(amr::Box{n / 2, 0, 2 * n - n / 2 - 1, 7});
-  amr::TwoLevelEuler sim(ctx, coarse, fine, 2, cfg);
-  sim.init(sod_xy);
-  sim.advance(0.1);
-  const double e_amr = error_vs_ref([&](std::int64_t i) {
-    return sim.best_at(i, 1).rho;
-  });
-
-  EXPECT_LT(e_amr, 0.8 * e_coarse);
-}
-
-TEST(TwoLevel, SodIsPinnedBitwise) {
-  // RefinementSharpensTheShock's two-level setup. The fine level's
-  // coarse-fine ghosts come from prolongation, not from fill_ghosts.
-  const std::int64_t n = 64;
-  core::MemoryPool pool;
-  amr::PatchLevel coarse(pool, amr::Box{0, 0, n - 1, 3}, 2,
-                         amr::BoundaryKind::Outflow);
-  coarse.add_patch(amr::Box{0, 0, n - 1, 3});
-  amr::PatchLevel fine(pool, amr::Box{0, 0, 2 * n - 1, 7}, 2,
-                       amr::BoundaryKind::Outflow);
-  fine.add_patch(amr::Box{n / 2, 0, 2 * n - n / 2 - 1, 7});
-  auto ctx = core::make_device();
-  amr::EulerConfig cfg;
-  cfg.dx = cfg.dy = 1.0 / double(n);
-  amr::TwoLevelEuler sim(ctx, coarse, fine, 2, cfg);
-  sim.init([n](double x, double) {
-    return amr::sod_state(std::int64_t(x), n / 2);
-  });
-  const std::size_t steps = sim.advance(0.1);
-  EXPECT_EQ(steps, 33u);
-  EXPECT_EQ(fnv1a(level_bits(coarse)), 0x5bdf93115587e865ull);
-  EXPECT_EQ(fnv1a(level_bits(fine)), 0x3381e921de5e5e95ull);
-  EXPECT_EQ(ctx.counters().launches, 99u);
-  EXPECT_EQ(ctx.counters().transfers, 0u);
-  EXPECT_EQ(ctx.counters().flops, 9292800.0);
-  EXPECT_EQ(ctx.counters().bytes, 13516800.0);
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(ctx.simulated_time()),
-            0x3f441450b698749cull);
 }
 
 }  // namespace

@@ -44,7 +44,7 @@ TEST(Kinetics, PureCollisionalGivesBoltzmann) {
   auto m = kinetics::make_model(12, 0.6, 3);
   for (auto& t : m.transitions) t.radiative = false;
   kinetics::Zone z{0.5, 1.0};
-  auto pops = kinetics::solve_zone(m, z, kinetics::SolveMethod::DenseDirect);
+  auto pops = kinetics::solve_zone(m, z);
   double zsum = 0.0;
   for (std::size_t i = 0; i < m.num_levels(); ++i) {
     zsum += m.weight[i] * std::exp(-m.energy[i] / z.te);
@@ -59,11 +59,9 @@ TEST(Kinetics, PureCollisionalGivesBoltzmann) {
 TEST(Kinetics, RadiativeDecayDepopulatesExcitedStates) {
   auto m = kinetics::make_model(12, 0.6, 3);
   kinetics::Zone z{0.5, 1.0};
-  auto with_rad =
-      kinetics::solve_zone(m, z, kinetics::SolveMethod::DenseDirect);
+  auto with_rad = kinetics::solve_zone(m, z);
   for (auto& t : m.transitions) t.radiative = false;
-  auto without =
-      kinetics::solve_zone(m, z, kinetics::SolveMethod::DenseDirect);
+  auto without = kinetics::solve_zone(m, z);
   // Radiative losses push population toward the ground state (non-LTE).
   EXPECT_GT(with_rad[0], without[0]);
 }
@@ -71,27 +69,12 @@ TEST(Kinetics, RadiativeDecayDepopulatesExcitedStates) {
 TEST(Kinetics, SteadyStateResidualIsZero) {
   auto m = kinetics::make_model(25, 0.5, 9);
   kinetics::Zone z{0.8, 3.0};
-  auto pops = kinetics::solve_zone(m, z, kinetics::SolveMethod::DenseDirect);
+  auto pops = kinetics::solve_zone(m, z);
   const double sum = std::accumulate(pops.begin(), pops.end(), 0.0);
   EXPECT_NEAR(sum, 1.0, 1e-10);
   EXPECT_LT(kinetics::kinetics_residual(m, z, pops), 1e-9);
   for (double p : pops) EXPECT_GT(p, -1e-12);  // populations nonnegative
 }
-
-class DirectVsIterative : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(DirectVsIterative, Agree) {
-  auto m = kinetics::make_model(GetParam(), 0.5, 13);
-  kinetics::Zone z{0.6, 1.5};
-  auto d = kinetics::solve_zone(m, z, kinetics::SolveMethod::DenseDirect);
-  auto it = kinetics::solve_zone(m, z, kinetics::SolveMethod::SparseIterative);
-  for (std::size_t i = 0; i < d.size(); ++i) {
-    EXPECT_NEAR(d[i], it[i], 1e-6 + 1e-4 * std::abs(d[i])) << "level " << i;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(ModelSizes, DirectVsIterative,
-                         ::testing::Values(8, 16, 32));
 
 TEST(Batch, ZoneParallelIdlesWorkersWhenMemoryBound) {
   auto m = kinetics::make_model(64);
@@ -99,10 +82,8 @@ TEST(Batch, ZoneParallelIdlesWorkersWhenMemoryBound) {
   auto cpu = core::make_cpu();
   // Memory for only ~4 workspaces.
   const double mem = 4.2 * m.workspace_bytes();
-  auto rep = kinetics::process_zones(cpu, m, zones,
-                                     kinetics::SolveMethod::DenseDirect,
-                                     kinetics::ThreadMode::ZoneParallel, 40,
-                                     mem);
+  auto rep = kinetics::process_zones(
+      cpu, m, zones, kinetics::ThreadMode::ZoneParallel, 40, mem);
   EXPECT_EQ(rep.active_workers, 4u);
   EXPECT_EQ(rep.total_workers, 40u);
 }
@@ -112,10 +93,9 @@ TEST(Batch, TransitionParallelAlwaysFits) {
   std::vector<kinetics::Zone> zones(16, kinetics::Zone{0.7, 1.0});
   auto gpu = core::make_device();
   const double tiny_mem = 1.5 * m.workspace_bytes();
-  auto rep = kinetics::process_zones(gpu, m, zones,
-                                     kinetics::SolveMethod::DenseDirect,
-                                     kinetics::ThreadMode::TransitionParallel,
-                                     5120, tiny_mem);
+  auto rep = kinetics::process_zones(
+      gpu, m, zones, kinetics::ThreadMode::TransitionParallel, 5120,
+      tiny_mem);
   EXPECT_GT(rep.active_workers, 64u);
   EXPECT_GT(rep.flops, 0.0);
 }
@@ -127,11 +107,9 @@ TEST(Batch, GpuModeFasterOnLargeModels) {
   auto gpu = core::make_device();
   const double cpu_mem = 8.0 * m.workspace_bytes();  // memory-starved
   auto rep_cpu = kinetics::process_zones(
-      cpu, m, zones, kinetics::SolveMethod::DenseDirect,
-      kinetics::ThreadMode::ZoneParallel, 44, cpu_mem);
+      cpu, m, zones, kinetics::ThreadMode::ZoneParallel, 44, cpu_mem);
   auto rep_gpu = kinetics::process_zones(
-      gpu, m, zones, kinetics::SolveMethod::DenseDirect,
-      kinetics::ThreadMode::TransitionParallel, 5120,
+      gpu, m, zones, kinetics::ThreadMode::TransitionParallel, 5120,
       16.0 * double(1ull << 30));
   EXPECT_LT(rep_gpu.modeled_time, rep_cpu.modeled_time);
 }
@@ -141,32 +119,14 @@ TEST(Batch, PopulationsReturnedPerZone) {
   std::vector<kinetics::Zone> zones{{0.3, 1.0}, {1.5, 1.0}};
   auto ctx = core::make_seq();
   std::vector<std::vector<double>> pops;
-  kinetics::process_zones(ctx, m, zones, kinetics::SolveMethod::DenseDirect,
-                          kinetics::ThreadMode::ZoneParallel, 4, 1e12,
-                          &pops);
+  kinetics::process_zones(ctx, m, zones, kinetics::ThreadMode::ZoneParallel, 4,
+                          1e12, &pops);
   ASSERT_EQ(pops.size(), 2u);
   // Hotter zone has more excited-state population.
   const double excited_cold =
       1.0 - pops[0][0];
   const double excited_hot = 1.0 - pops[1][0];
   EXPECT_GT(excited_hot, excited_cold);
-}
-
-
-TEST(Batch, IterativeMethodCountsLessSolveWork) {
-  // The sparse iterative path (the cuSPARSE-built solver) models far
-  // fewer flops than the dense LU on a large sparse-ish model.
-  auto m = kinetics::make_model(512, 0.2, 5);
-  std::vector<kinetics::Zone> zones(4, kinetics::Zone{0.8, 1.0});
-  auto c1 = core::make_device();
-  auto c2 = core::make_device();
-  auto direct = kinetics::process_zones(
-      c1, m, zones, kinetics::SolveMethod::DenseDirect,
-      kinetics::ThreadMode::TransitionParallel, 5120, 1e12);
-  auto iter = kinetics::process_zones(
-      c2, m, zones, kinetics::SolveMethod::SparseIterative,
-      kinetics::ThreadMode::TransitionParallel, 5120, 1e12);
-  EXPECT_LT(iter.flops, 0.2 * direct.flops);
 }
 
 }  // namespace

@@ -215,53 +215,6 @@ TEST(Krylov, CgZeroRhs) {
   EXPECT_EQ(res.iterations, 0u);
 }
 
-TEST(Krylov, BicgstabSolvesNonsymmetric) {
-  // Convection-diffusion style nonsymmetric matrix.
-  const std::size_t n = 64;
-  std::vector<la::Triplet> t;
-  for (std::size_t i = 0; i < n; ++i) {
-    t.push_back({i, i, 4.0});
-    if (i > 0) t.push_back({i, i - 1, -1.5});
-    if (i + 1 < n) t.push_back({i, i + 1, -0.5});
-  }
-  auto a = la::CsrMatrix::from_triplets(n, n, t);
-  std::vector<double> x_true(n), b(n), x(n, 0.0);
-  core::Rng rng(9);
-  for (auto& v : x_true) v = rng.uniform(-1.0, 1.0);
-  auto ctx = core::make_seq();
-  a.spmv(ctx, x_true, b);
-  la::CsrOperator op(a);
-  la::JacobiPreconditioner prec(a);
-  auto res = la::bicgstab(
-      ctx, op, prec, b, x,
-      {.max_iters = 500, .rel_tol = 1e-12, .reduce = nullptr});
-  ASSERT_TRUE(res.converged);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-8);
-}
-
-TEST(Krylov, GmresSolvesNonsymmetric) {
-  const std::size_t n = 64;
-  std::vector<la::Triplet> t;
-  for (std::size_t i = 0; i < n; ++i) {
-    t.push_back({i, i, 3.0});
-    if (i > 0) t.push_back({i, i - 1, -2.0});
-    if (i + 1 < n) t.push_back({i, i + 1, -0.3});
-  }
-  auto a = la::CsrMatrix::from_triplets(n, n, t);
-  std::vector<double> x_true(n), b(n), x(n, 0.0);
-  core::Rng rng(11);
-  for (auto& v : x_true) v = rng.uniform(-1.0, 1.0);
-  auto ctx = core::make_seq();
-  a.spmv(ctx, x_true, b);
-  la::CsrOperator op(a);
-  la::JacobiPreconditioner prec(a);
-  auto res = la::gmres(
-      ctx, op, prec, b, x, 20,
-      {.max_iters = 500, .rel_tol = 1e-12, .reduce = nullptr});
-  ASSERT_TRUE(res.converged);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-7);
-}
-
 TEST(Smoothers, JacobiReducesResidual) {
   auto a = la::poisson2d(12, 12);
   const std::size_t n = a.rows();

@@ -182,20 +182,6 @@ TEST(Mpi, DistributedWaveMatchesSingleRank) {
   }
 }
 
-TEST(Mpi, TrafficPricedOnClusterModel) {
-  auto stats = mpi::run(4, [&](mpi::Communicator& comm) {
-    if (comm.rank() == 0) {
-      comm.send(1, 0, std::vector<double>(1000, 1.0));
-    } else if (comm.rank() == 1) {
-      (void)comm.recv(0, 0);
-    }
-  });
-  const auto net = hsim::clusters::sierra(4);
-  const double t = stats.modeled_time(net);
-  EXPECT_NEAR(t, net.alpha + net.beta * 8000.0, 1e-12);
-}
-
-
 TEST(Mpi, Distributed3dWaveMatchesSerialSolver) {
   // The slab-decomposed 4th-order solver must match the serial WaveSolver
   // to rounding (same arithmetic per point, halo values identical).

@@ -17,7 +17,6 @@
 #include "core/exec.hpp"
 #include "la/csr.hpp"
 #include "la/krylov.hpp"
-#include "md/replicated.hpp"
 #include "mpi/comm.hpp"
 #include "net/net.hpp"
 #include "stencil/distributed.hpp"
@@ -657,51 +656,10 @@ TEST(Net, CgFusedReductionsAlsoExactUnderKernelFusion) {
   EXPECT_EQ(x00, x11);
 }
 
-TEST(Net, ReplicatedMdAggregatedMatchesSeparateBitwise) {
-  // One (3n+2)-wide allreduce vs five rounds: with a rank-count-only
-  // reduction tree both forms associate every element identically, so the
-  // trajectories must be bitwise equal while collective rounds drop 5x.
-  md::ReplicatedConfig cfg;
-  cfg.per_side = 4;
-  cfg.steps = 8;
-  cfg.aggregate = true;
-  const auto agg = md::replicated_md_run(3, cfg);
-  cfg.aggregate = false;
-  const auto sep = md::replicated_md_run(3, cfg);
-  EXPECT_EQ(agg.n, sep.n);
-  EXPECT_EQ(agg.potential, sep.potential);  // bitwise
-  EXPECT_EQ(agg.kinetic, sep.kinetic);
-  EXPECT_EQ(agg.virial, sep.virial);
-  EXPECT_EQ(agg.reductions_per_step, 1u);
-  EXPECT_EQ(sep.reductions_per_step, 5u);
-  EXPECT_EQ(agg.net.reductions * 5, sep.net.reductions);
-  EXPECT_LT(agg.net.messages, sep.net.messages);
-  // Same payload travels either way (forces + energy + virial).
-  EXPECT_DOUBLE_EQ(agg.net.bytes, sep.net.bytes);
-}
-
-TEST(Net, ReplicatedMdConservesAndMatchesSingleRank) {
-  md::ReplicatedConfig cfg;
-  cfg.per_side = 4;
-  cfg.steps = 10;
-  const auto one = md::replicated_md_run(1, cfg);
-  const auto four = md::replicated_md_run(4, cfg);
-  EXPECT_EQ(one.n, four.n);
-  // Different partial-sum association across rank counts: equal to
-  // rounding, not bitwise.
-  const double e1 = one.potential + one.kinetic;
-  const double e4 = four.potential + four.kinetic;
-  EXPECT_NEAR(e4, e1, 1e-8 * std::abs(e1) + 1e-10);
-  EXPECT_NEAR(four.temperature, one.temperature, 1e-9);
-  EXPECT_EQ(one.net.messages, 0u);  // single rank: tree sends nothing
-}
-
-
 // --- Driver pins ---------------------------------------------------------
 // The constants below were recorded on the drivers that each kept their
-// own copy of the wave and MD arithmetic. The shared slab and replica
-// types must reproduce every field bit, kernel counter, message count and
-// modeled second.
+// own copy of the wave arithmetic. The shared slab type must reproduce
+// every field bit, kernel counter, message count and modeled second.
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
@@ -775,38 +733,6 @@ TEST(DriverPin, DistributedWaveMatrix) {
     EXPECT_EQ(flops, pin.flops) << mode;
     EXPECT_EQ(bytes, pin.bytes) << mode;
     EXPECT_EQ(res.traffic.messages, pin.messages) << mode;
-    EXPECT_EQ(bits(res.modeled.timeline_s), pin.timeline) << mode;
-  }
-}
-
-TEST(DriverPin, ReplicatedMd) {
-  struct Pin {
-    bool aggregate;
-    std::uint64_t potential, kinetic, virial;
-    std::size_t messages;
-    std::uint64_t timeline;
-  };
-  const Pin pins[] = {
-      {true, 0xc06d416564c27746ull, 0x405d0bcdc1af721eull,
-       0x4090fa4c7d731055ull, 36, 0x3f313bbc99a3d583ull},
-      {false, 0xc06d416564c27746ull, 0x405d0bcdc1af721eull,
-       0x4090fa4c7d731055ull, 180, 0x3f37fc53abac4963ull},
-  };
-  const auto cl = test_cluster(1e-6, 1e-9);
-  for (const Pin& pin : pins) {
-    net::NetLog log;
-    md::ReplicatedConfig cfg;
-    cfg.per_side = 4;
-    cfg.steps = 8;
-    cfg.aggregate = pin.aggregate;
-    cfg.log = &log;
-    cfg.cluster = &cl;
-    const auto res = md::replicated_md_run(3, cfg);
-    const char* mode = pin.aggregate ? "aggregated" : "separate";
-    EXPECT_EQ(bits(res.potential), pin.potential) << mode;
-    EXPECT_EQ(bits(res.kinetic), pin.kinetic) << mode;
-    EXPECT_EQ(bits(res.virial), pin.virial) << mode;
-    EXPECT_EQ(res.net.messages, pin.messages) << mode;
     EXPECT_EQ(bits(res.modeled.timeline_s), pin.timeline) << mode;
   }
 }

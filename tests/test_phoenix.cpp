@@ -1,6 +1,6 @@
 // Tests for coe::phoenix (DESIGN.md §17): the distributed checkpoint
 // store, the rank-kill injectors, the mpi repair primitives under kills
-// swept across every protocol phase, and the survivable wave/MD/CG drivers'
+// swept across every protocol phase, and the survivable wave driver's
 // bitwise ride-through-failure guarantees.
 #include <gtest/gtest.h>
 
@@ -15,9 +15,6 @@
 #include <tuple>
 #include <vector>
 
-#include "la/la.hpp"
-#include "md/replicated.hpp"
-#include "md/survivable.hpp"
 #include "net/net.hpp"
 #include "obs/metrics.hpp"
 #include "phoenix/phoenix.hpp"
@@ -565,241 +562,6 @@ TEST(PhoenixDriver, ConfigValidation) {
   auto bad = wave_cfg(3, 0, phoenix::RepairPolicy::Shrink);
   EXPECT_THROW(stencil::survivable_wave_run(bad, wave_u0),
                std::invalid_argument);  // nx % workers != 0
-}
-
-// ---------------------------------------------------------------------------
-// Survivable MD
-// ---------------------------------------------------------------------------
-
-TEST(PhoenixMd, FaultFreeSurvivableMatchesReplicatedBitwise) {
-  // The part tree and the recursive-doubling allreduce associate the
-  // partial force sums identically, so without kills or checkpoints the
-  // survivable trajectory is the replicated one, bit for bit.
-  for (int workers : {1, 2, 4}) {
-    md::SurvivableMdConfig cfg;
-    cfg.workers = workers;
-    cfg.ckpt_every = 0;
-    cfg.mpi.timeout_seconds = 5.0;
-    auto sur = md::survivable_md_run(cfg);
-
-    md::ReplicatedConfig rc;
-    rc.per_side = cfg.per_side;
-    rc.steps = cfg.steps;
-    auto rep = md::replicated_md_run(workers, rc);
-
-    EXPECT_EQ(sur.report.stats.kills, 0u) << "workers=" << workers;
-    EXPECT_EQ(sur.report.stats.ckpt_commits, 0u) << "workers=" << workers;
-    EXPECT_EQ(sur.n, rep.n) << "workers=" << workers;
-    EXPECT_EQ(sur.potential, rep.potential) << "workers=" << workers;
-    EXPECT_EQ(sur.kinetic, rep.kinetic) << "workers=" << workers;
-    EXPECT_EQ(sur.virial, rep.virial) << "workers=" << workers;
-    EXPECT_EQ(sur.temperature, rep.temperature) << "workers=" << workers;
-  }
-}
-
-TEST(PhoenixMd, SpareRecoveryIsBitwise) {
-  md::SurvivableMdConfig cfg;
-  cfg.per_side = 3;
-  cfg.steps = 6;
-  cfg.workers = 4;
-  cfg.spares = 1;
-  cfg.policy = phoenix::RepairPolicy::Spare;
-  cfg.ckpt_every = 3;
-  cfg.mpi.timeout_seconds = 5.0;
-  cfg.mpi.max_retries = 1;
-  auto ref = md::survivable_md_run(cfg);
-  ASSERT_EQ(ref.report.stats.kills, 0u);
-  ASSERT_EQ(ref.n, 27u);
-
-  // Op 30 is rank 2's second commit vote (4 tree ops/step, 3-op ckpts):
-  // its buddy-recv at op 29 proves the ring predecessor reached step 6,
-  // past the commit at step 3, so replayed_steps > 0 is deterministic.
-  cfg.fault_hook = phoenix::kill_rank_at(2, 30);
-  auto r = md::survivable_md_run(cfg);
-
-  EXPECT_EQ(r.report.stats.kills, 1u);
-  EXPECT_GT(r.report.stats.replayed_steps, 0u);
-  // The whole trajectory — including the neighbor-list rebuild schedule —
-  // replays to identical bits.
-  EXPECT_EQ(r.potential, ref.potential);
-  EXPECT_EQ(r.kinetic, ref.kinetic);
-  EXPECT_EQ(r.virial, ref.virial);
-  EXPECT_EQ(r.temperature, ref.temperature);
-}
-
-TEST(PhoenixMd, ShrinkRecoveryIsBitwise) {
-  md::SurvivableMdConfig cfg;
-  cfg.per_side = 3;
-  cfg.steps = 5;
-  cfg.workers = 3;  // non-pof2 part tree
-  cfg.policy = phoenix::RepairPolicy::Shrink;
-  cfg.ckpt_every = 2;
-  cfg.mpi.timeout_seconds = 5.0;
-  cfg.mpi.max_retries = 1;
-  auto ref = md::survivable_md_run(cfg);
-
-  cfg.fault_hook = phoenix::kill_rank_at(1, 14);
-  auto r = md::survivable_md_run(cfg);
-
-  EXPECT_EQ(r.report.stats.kills, 1u);
-  EXPECT_EQ(r.report.stats.retirements, 1u);
-  EXPECT_EQ(r.potential, ref.potential);
-  EXPECT_EQ(r.kinetic, ref.kinetic);
-  EXPECT_EQ(r.virial, ref.virial);
-}
-
-// ---------------------------------------------------------------------------
-// Survivable Krylov
-// ---------------------------------------------------------------------------
-
-struct CgRunOut {
-  std::map<int, std::vector<double>> x;  // by final rank id
-  std::map<int, std::size_t> iters;
-  phoenix::SurvivableReport report;
-};
-
-CgRunOut run_survivable_cg(const la::CsrMatrix& a,
-                           const std::vector<double>& b, int workers,
-                           int spares, int steps, int ckpt_every,
-                           std::function<bool(int, std::size_t)> hook) {
-  phoenix::SurvivableConfig cfg;
-  cfg.workers = workers;
-  cfg.spares = spares;
-  cfg.policy = spares > 0 ? phoenix::RepairPolicy::Spare
-                          : phoenix::RepairPolicy::Shrink;
-  cfg.steps = steps;
-  cfg.ckpt_every = ckpt_every;
-  cfg.mpi.timeout_seconds = 5.0;
-  cfg.mpi.max_retries = 1;
-  cfg.fault_hook = std::move(hook);
-
-  auto cgp = [](phoenix::RankContext& rc, int p) -> phoenix::PartCg& {
-    return static_cast<phoenix::PartCg&>(rc.part(p));
-  };
-
-  phoenix::SurvivableHooks hooks;
-  hooks.make = [&a, &b](phoenix::RankContext& rc, int part) {
-    return std::make_unique<phoenix::PartCg>(a, b, part, rc.nparts());
-  };
-  hooks.step = [cgp](phoenix::RankContext& rc, int step) {
-    const int chan = phoenix::RankContext::kChanApp;
-    auto buf = [&](int p) { return cgp(rc, p).reduction(); };
-    if (step == 0) {
-      for (int p : rc.owned()) cgp(rc, p).begin(rc.ctx());
-      rc.part_allreduce(chan, buf);
-      for (int p : rc.owned()) cgp(rc, p).end_begin();
-      return;
-    }
-    for (int p : rc.owned()) cgp(rc, p).phase_pap(rc.ctx());
-    rc.part_allreduce(chan, buf);
-    for (int p : rc.owned()) cgp(rc, p).phase_update(rc.ctx());
-    rc.part_allreduce(chan, buf);
-    for (int p : rc.owned()) cgp(rc, p).phase_close();
-  };
-
-  CgRunOut out;
-  std::mutex mtx;
-  hooks.finish = [&, cgp](phoenix::RankContext& rc) {
-    std::lock_guard<std::mutex> lk(mtx);
-    for (int p : rc.owned()) {
-      auto xs = cgp(rc, p).x();
-      out.x[p].assign(xs.begin(), xs.end());
-      out.iters[p] = cgp(rc, p).iterations();
-    }
-  };
-  out.report = phoenix::run_survivable(cfg, hooks);
-  return out;
-}
-
-TEST(PhoenixKrylov, PartCgSurvivesKillBitwise) {
-  auto a = la::poisson2d(8, 8);
-  const std::size_t n = a.rows();
-  std::vector<double> x_true(n), b(n);
-  core::Rng rng(11);
-  for (auto& v : x_true) v = rng.uniform(-1.0, 1.0);
-  auto ctx = core::make_seq();
-  a.spmv(ctx, x_true, b);
-
-  auto ref = run_survivable_cg(a, b, 4, 1, 40, 8, {});
-  ASSERT_EQ(ref.report.stats.kills, 0u);
-  ASSERT_EQ(ref.x.size(), 4u);
-  // Replicated parts converge to the identical iterate.
-  for (int p = 1; p < 4; ++p) {
-    EXPECT_EQ(ref.x.at(p), ref.x.at(0));
-    EXPECT_EQ(ref.iters.at(p), ref.iters.at(0));
-  }
-  for (std::size_t i = 0; i < n; ++i)
-    EXPECT_NEAR(ref.x.at(0)[i], x_true[i], 1e-6);
-
-  auto r = run_survivable_cg(a, b, 4, 1, 40, 8,
-                             phoenix::kill_rank_at(1, 40));
-  EXPECT_EQ(r.report.stats.kills, 1u);
-  EXPECT_GT(r.report.stats.replayed_steps, 0u);
-  for (int p = 0; p < 4; ++p) {
-    EXPECT_EQ(r.x.at(p), ref.x.at(p)) << "part " << p;
-    EXPECT_EQ(r.iters.at(p), ref.iters.at(p));
-  }
-}
-
-// The la::cg wiring: with a pof2 part count the replicated tree-sum and the
-// 1/nparts rescale are exact, so the distributed solve is bitwise the
-// single-domain solve.
-TEST(PhoenixKrylov, ReplicatedReduceMatchesPlainCgBitwise) {
-  auto a = la::poisson2d(6, 6);
-  const std::size_t n = a.rows();
-  std::vector<double> x_true(n), b(n);
-  core::Rng rng(23);
-  for (auto& v : x_true) v = rng.uniform(-1.0, 1.0);
-  auto ctx0 = core::make_seq();
-  a.spmv(ctx0, x_true, b);
-
-  la::CsrOperator op(a);
-  la::JacobiPreconditioner prec(a);
-  la::SolveOptions plain_opts;
-  plain_opts.max_iters = 500;
-  plain_opts.rel_tol = 1e-10;
-  std::vector<double> x_plain(n, 0.0);
-  auto plain_ctx = core::make_seq();
-  auto plain = la::cg(plain_ctx, op, prec, b, x_plain, plain_opts);
-  ASSERT_TRUE(plain.converged);
-
-  struct NullPart final : resil::Checkpointable {
-    void save_state(std::vector<double>& out) const override { out.clear(); }
-    void restore_state(const std::vector<double>&) override {}
-  };
-
-  phoenix::SurvivableConfig cfg;
-  cfg.workers = 4;
-  cfg.steps = 1;
-  cfg.ckpt_every = 0;
-  cfg.mpi.timeout_seconds = 5.0;
-
-  std::mutex mtx;
-  std::map<int, std::vector<double>> xs;
-  std::map<int, std::size_t> its;
-  phoenix::SurvivableHooks hooks;
-  hooks.make = [](phoenix::RankContext&, int) {
-    return std::make_unique<NullPart>();
-  };
-  hooks.step = [&](phoenix::RankContext& rc, int) {
-    la::SolveOptions opts = plain_opts;
-    opts.reduce =
-        phoenix::replicated_reduce(rc, phoenix::RankContext::kChanApp);
-    la::CsrOperator lop(a);
-    la::JacobiPreconditioner lprec(a);
-    std::vector<double> x(n, 0.0);
-    auto res = la::cg(rc.ctx(), lop, lprec, b, x, opts);
-    std::lock_guard<std::mutex> lk(mtx);
-    xs[rc.rank()] = std::move(x);
-    its[rc.rank()] = res.iterations;
-  };
-  phoenix::run_survivable(cfg, hooks);
-
-  ASSERT_EQ(xs.size(), 4u);
-  for (auto& [r, x] : xs) {
-    EXPECT_EQ(x, x_plain) << "rank " << r;
-    EXPECT_EQ(its.at(r), plain.iterations);
-  }
 }
 
 // ---------------------------------------------------------------------------

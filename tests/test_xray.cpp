@@ -14,7 +14,6 @@
 #include "core/exec.hpp"
 #include "la/csr.hpp"
 #include "la/krylov.hpp"
-#include "md/replicated.hpp"
 #include "mpi/comm.hpp"
 #include "net/net.hpp"
 #include "obs/json.hpp"
@@ -391,26 +390,6 @@ TEST(Xray, SkewedWaveFindsStragglerAndBlamesNeighborsOnCommWait) {
     }
   }
   EXPECT_TRUE(saw_stencil);
-}
-
-TEST(Xray, ReplicatedMdMergesCollectiveTraffic) {
-  const int ranks = 3;
-  const auto cl = hsim::clusters::cori(ranks);
-  net::NetLog log;
-  md::ReplicatedConfig cfg;
-  cfg.per_side = 3;
-  cfg.steps = 3;
-  cfg.log = &log;
-  cfg.cluster = &cl;
-  const auto res = md::replicated_md_run(ranks, cfg);
-  EXPECT_GT(res.modeled.timeline_s, 0.0);
-  const auto rep = analyze(log, cl, ranks);
-  ASSERT_TRUE(rep.well_formed)
-      << (rep.diagnostics.empty() ? "?" : rep.diagnostics.front());
-  EXPECT_GT(rep.matched_messages, 0u);
-  expect_tiles(rep);
-  expect_blame_tiles(rep);
-  EXPECT_EQ(rep.timeline_s, res.modeled.timeline_s);
 }
 
 TEST(Xray, CgLoggedReduceMergesSolverRounds) {
