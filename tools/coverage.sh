@@ -15,15 +15,16 @@
 #   - src/ functions that never ran (no call and no executed line).
 #
 # usage: tools/coverage.sh WORK_DIR [REPORT]
-#   WORK_DIR  scratch directory for both build trees and the run artifacts;
-#             it must lie outside src/.
+#   WORK_DIR  scratch directory; everything goes into its coverage-*
+#             entries: the main and coebench build trees (reused) and the
+#             run artifacts and gcov JSON (replaced on each run). It must
+#             lie outside src/ and hold no tracked file of the repo.
 #   REPORT    report path (default WORK_DIR/coverage_unreached.txt).
-# Env: JOBS (build parallelism, default min(nproc, 4)),
-#      BENCH_MIN_TIME (microbench_kernels, default 0.01s).
+# Env: JOBS (build parallelism, default min(nproc, 4)).
 set -euo pipefail
 
 if [[ $# -lt 1 ]]; then
-  sed -n '2,22p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,23p' "$0" | sed 's/^# \{0,1\}//'
   exit 2
 fi
 
@@ -34,9 +35,17 @@ REPORT=${2:-$WORK/coverage_unreached.txt}
 case "$WORK/" in
   "$ROOT/src/"*) echo "coverage.sh: WORK_DIR must be outside src/" >&2; exit 2 ;;
 esac
+# Empty when WORK_DIR lies outside the checkout (or there is no git).
+tracked=$(git -C "$ROOT" ls-files -- "$WORK" 2>/dev/null || true)
+if [[ $WORK == "$ROOT" || -n $tracked ]]; then
+  echo "coverage.sh: WORK_DIR must not be the repo root or hold tracked" \
+       "files" >&2
+  exit 2
+fi
+MAIN=$WORK/coverage-main
+CB=$WORK/coverage-coebench
 nproc_=$(nproc 2>/dev/null || echo 1)
 JOBS=${JOBS:-$(( nproc_ < 4 ? nproc_ : 4 ))}
-MIN_TIME=${BENCH_MIN_TIME:-0.01s}
 
 FLAGS=(-DCMAKE_BUILD_TYPE=Release
        "-DCMAKE_CXX_FLAGS_RELEASE=-O1 -DNDEBUG"
@@ -55,21 +64,20 @@ examples=()
 for f in "$ROOT"/examples/*.cpp; do examples+=("example_$(basename "$f" .cpp)"); done
 tools=(validate_bench_json bench_diff coe_report)
 
-log "building the main tree in $WORK/main"
-cmake -S "$ROOT" -B "$WORK/main" "${FLAGS[@]}" > "$WORK/main.configure.log"
-cmake --build "$WORK/main" -j "$JOBS" \
-  --target "${benches[@]}" "${examples[@]}" "${tools[@]}" > "$WORK/main.build.log"
+log "building the main tree in $MAIN"
+cmake -S "$ROOT" -B "$MAIN" "${FLAGS[@]}" > "$MAIN.configure.log"
+cmake --build "$MAIN" -j "$JOBS" \
+  --target "${benches[@]}" "${examples[@]}" "${tools[@]}" > "$MAIN.build.log"
 
-log "building coebench in $WORK/coebench"
-cmake -S "$ROOT/coebench" -B "$WORK/coebench" "${FLAGS[@]}" \
-  > "$WORK/coebench.configure.log"
-cmake --build "$WORK/coebench" -j "$JOBS" > "$WORK/coebench.build.log"
+log "building coebench in $CB"
+cmake -S "$ROOT/coebench" -B "$CB" "${FLAGS[@]}" > "$CB.configure.log"
+cmake --build "$CB" -j "$JOBS" > "$CB.build.log"
 
 # Counters accumulate across runs; start from zero.
-find "$WORK/main" "$WORK/coebench" -name '*.gcda' -delete
+find "$MAIN" "$CB" -name '*.gcda' -delete
 
 # --- run -------------------------------------------------------------------
-RUN=$WORK/run
+RUN=$WORK/coverage-run
 ART=$RUN/artifacts
 rm -rf "$RUN"
 mkdir -p "$ART"
@@ -87,15 +95,15 @@ export COE_BENCH_DIR=$ART
 for b in "${benches[@]}"; do
   log "bench $b"
   if [[ $b == microbench_kernels ]]; then
-    run "$b" "$WORK/main/bench/$b" "--benchmark_min_time=$MIN_TIME"
+    run "$b" "$MAIN/bench/$b" --benchmark_min_time=0.01s
   else
-    run "$b" "$WORK/main/bench/$b"
+    run "$b" "$MAIN/bench/$b"
   fi
 done
 unset COE_BENCH_DIR
 for e in "${examples[@]}"; do
   log "example $e"
-  run "$e" "$WORK/main/examples/$e"
+  run "$e" "$MAIN/examples/$e"
 done
 
 log "tools on the bench artifacts"
@@ -103,37 +111,37 @@ shopt -s nullglob
 # As CI runs them. bench_diff compares wall time against baselines from an
 # uninstrumented build, so its threshold is set out of reach: it runs here
 # only to be covered.
-run validate_bench_json "$WORK/main/tools/validate_bench_json" "$ART"/*.json
-run coe_report_trace "$WORK/main/tools/coe_report" --check-coverage=0.995 \
+run validate_bench_json "$MAIN/tools/validate_bench_json" "$ART"/*.json
+run coe_report_trace "$MAIN/tools/coe_report" --check-coverage=0.995 \
   "$ART"/TRACE_*.json
-run coe_report_xray "$WORK/main/tools/coe_report" --check-coverage=0.995 \
+run coe_report_xray "$MAIN/tools/coe_report" --check-coverage=0.995 \
   "$ART"/XRAY_*.json
-run coe_report_json "$WORK/main/tools/coe_report" --json "$ART"/TRACE_*.json
-run bench_diff "$WORK/main/tools/bench_diff" --threshold=1000 \
+run coe_report_json "$MAIN/tools/coe_report" --json "$ART"/TRACE_*.json
+run bench_diff "$MAIN/tools/bench_diff" --threshold=1000 \
   "$ROOT/bench/baselines" "$ART"
 shopt -u nullglob
 
 for w in fem_amg amr_sod wave_dist wave_survive; do
   for t in 0 1; do
     log "coebench $w --tiny --trace $t"
-    run "coebench_${w}_trace$t" "$WORK/coebench/coebench" --workload "$w" \
+    run "coebench_${w}_trace$t" "$CB/coebench" --workload "$w" \
       --tiny --trace "$t"
   done
 done
 
 # --- gcov ------------------------------------------------------------------
-GCOV=$WORK/gcov
+GCOV=$WORK/coverage-gcov
 rm -rf "$GCOV"
 mkdir -p "$GCOV"
 for tree in main coebench; do
   # One gcov call per object directory; JSON goes to stdout, one document
   # per line.
-  find "$WORK/$tree" -name '*.gcda' -printf '%h\n' | sort -u |
+  find "$WORK/coverage-$tree" -name '*.gcda' -printf '%h\n' | sort -u |
     while read -r dir; do
       (cd "$dir" && gcov --json-format --stdout ./*.gcda 2>/dev/null) || true
     done > "$GCOV/$tree.jsonl"
   # Every compiled src/ object, run or not (for the never-linked list).
-  find "$WORK/$tree" -name '*.gcno' > "$GCOV/$tree.gcno.txt"
+  find "$WORK/coverage-$tree" -name '*.gcno' > "$GCOV/$tree.gcno.txt"
 done
 
 python3 - "$ROOT" "$GCOV" "$REPORT" <<'PY'
@@ -197,8 +205,8 @@ def ran_between(r, a, b):
 
 unrun = {r: sorted(n for n, c in per.items() if c == 0)
          for r, per in lines.items()}
-dead = sorted((r, start, name) for (r, start, name), (c, a, b)
-              in funcs.items() if c == 0 and not ran_between(r, a, b))
+dead = sorted({(r, name) for (r, start, name), (c, a, b)
+               in funcs.items() if c == 0 and not ran_between(r, a, b)})
 
 def total(suffix):
     exe = sum(len(per) for r, per in lines.items() if r.endswith(suffix))
@@ -218,7 +226,13 @@ def ranges(ns):
 with open(report, "w") as out:
     w = out.write
     w("# src/ coverage from the benches, examples, tools and coebench "
-      "--tiny\n# (tests excluded). Generated by tools/coverage.sh.\n\n")
+      "--tiny\n# (tests excluded). Generated by tools/coverage.sh.\n"
+      "# Diff the never-linked files and the never-run functions (keyed "
+      "by file\n# and name); the line ranges are for reading only and "
+      "shift with any src/\n# edit. The unrun lines of "
+      "src/phoenix/driver.cpp and src/xray/merge.cpp,\n# and so the "
+      "src/*.cpp total, depend on when survivors detect a kill and\n"
+      "# differ between runs.\n\n")
     for suffix in (".cpp", ".hpp"):
         exe, miss = total(suffix)
         w("src/*%s: %d executable lines seen, %d never run\n"
@@ -234,9 +248,9 @@ with open(report, "w") as out:
     for r in sorted(unrun):
         if unrun[r]:
             w("%s  %d: %s\n" % (r, len(unrun[r]), ranges(unrun[r])))
-    w("\n## src/ functions never run (file:line name)\n")
-    for r, start, name in dead:
-        w("%s:%d %s\n" % (r, start, name))
+    w("\n## src/ functions never run (file name)\n")
+    for r, name in dead:
+        w("%s %s\n" % (r, name))
 print("[coverage] report: " + report, file=sys.stderr)
 PY
 exit $status
