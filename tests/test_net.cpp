@@ -20,6 +20,7 @@
 #include "mpi/comm.hpp"
 #include "net/net.hpp"
 #include "stencil/distributed.hpp"
+#include "xray/xray.hpp"
 
 namespace {
 
@@ -683,19 +684,39 @@ TEST(DriverPin, DistributedWaveMatrix) {
     double flops, bytes;
     std::size_t messages;
     std::uint64_t timeline;
+    std::uint64_t sequential, comm_sequential, compute;
+    /// xray::analyze of the logged traffic: the critical path and the
+    /// fleet's five blame buckets.
+    std::uint64_t critical;
+    std::uint64_t fleet[5];
   };
   const Pin pins[] = {
       {true, true, -1, 0xca0819fa2d88bf56ull, 140, 272384.0, 1247232.0, 42,
-       0x3f204f15826c5822ull},
+       0x3f204f15826c5822ull, 0x3f365bf4e3e645a5ull, 0x3f341ab687079314ull,
+       0x3f0209f2e6f59485ull, 0x3f204f15826c5822ull,
+       {0x0ull, 0x3f005904214e8e98ull, 0x0ull, 0x3f1793c56f356cf2ull,
+        0x3ecbbc709f7f80c8ull}},
       {true, false, -1, 0xca0819fa2d88bf56ull, 112, 272384.0, 1247232.0, 42,
-       0x3f204f15826c5822ull},
+       0x3f204f15826c5822ull, 0x3f365bf4e3e645a5ull, 0x3f341ab687079314ull,
+       0x3f0209f2e6f59485ull, 0x3f204f15826c5822ull,
+       {0x0ull, 0x3f005904214e8e98ull, 0x0ull, 0x3f1793c56f356cf2ull,
+        0x3ecbbc709f7f80c8ull}},
       {false, true, -1, 0xca0819fa2d88bf56ull, 224, 272384.0, 1247232.0, 84,
-       0x3f2776b9fcadbe83ull},
+       0x3f2776b9fcadbe83ull, 0x3f420f9602ddc141ull, 0x3f40eef6d46e67f9ull,
+       0x3f0209f2e6f59484ull, 0x3f2776b9fcadbe83ull,
+       {0x0ull, 0x3f005904214e8e97ull, 0x0ull, 0x3f22bf46e8a1de74ull,
+        0x3ed4264177078d38ull}},
       {false, false, -1, 0xca0819fa2d88bf56ull, 196, 272384.0, 1247232.0, 84,
-       0x3f2776b9fcadbe83ull},
+       0x3f2776b9fcadbe83ull, 0x3f420f9602ddc141ull, 0x3f40eef6d46e67f9ull,
+       0x3f0209f2e6f59484ull, 0x3f2776b9fcadbe83ull,
+       {0x0ull, 0x3f005904214e8e97ull, 0x0ull, 0x3f22bf46e8a1de74ull,
+        0x3ed4264177078d38ull}},
       // Skew moves only the priced work, never the field.
       {true, true, 1, 0xca0819fa2d88bf56ull, 140, 476672.0, 1892352.0, 42,
-       0x3f2645317a85defbull},
+       0x3f2645317a85defbull, 0x3f3a9649d207d472ull, 0x3f341ab687079314ull,
+       0x3f19ee4d2c010579ull, 0x3f2645317a85defbull,
+       {0x0ull, 0x3f08cdadfd91ac32ull, 0x0ull, 0x3f1e9a6c49cc9f25ull,
+        0x3ed891fac7648b70ull}},
   };
   const auto cl = test_cluster(5e-6, 1e-9);
   auto u0 = [](double x, double y, double z) {
@@ -714,6 +735,8 @@ TEST(DriverPin, DistributedWaveMatrix) {
     cfg.skew_factor = 4.0;
     cfg.cluster = &cl;
     cfg.trace_ranks = true;
+    net::NetLog log;
+    cfg.log = &log;
     const auto res = stencil::distributed_wave_run(4, cfg, u0);
     std::size_t launches = 0;
     double flops = 0.0, bytes = 0.0;
@@ -734,6 +757,22 @@ TEST(DriverPin, DistributedWaveMatrix) {
     EXPECT_EQ(bytes, pin.bytes) << mode;
     EXPECT_EQ(res.traffic.messages, pin.messages) << mode;
     EXPECT_EQ(bits(res.modeled.timeline_s), pin.timeline) << mode;
+    EXPECT_EQ(bits(res.modeled.sequential_s), pin.sequential) << mode;
+    EXPECT_EQ(bits(res.modeled.comm_sequential_s), pin.comm_sequential)
+        << mode;
+    EXPECT_EQ(bits(res.modeled.compute_s), pin.compute) << mode;
+    xray::MergeInputs in;
+    in.log = &log;
+    in.cluster = &cl;
+    in.ranks = 4;
+    in.rank_traces = &res.rank_traces;
+    const auto rep = xray::analyze(in);
+    EXPECT_TRUE(rep.well_formed) << mode;
+    EXPECT_EQ(bits(rep.critical_s), pin.critical) << mode;
+    for (std::size_t k = 0; k < 5; ++k) {
+      EXPECT_EQ(bits(rep.fleet.seconds[k]), pin.fleet[k])
+          << mode << " blame " << k;
+    }
   }
 }
 
