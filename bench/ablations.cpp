@@ -33,13 +33,13 @@ void ablate_amg() {
     std::vector<double> x1(a.rows(), 0.0);
     la::JacobiPreconditioner jac(a);
     auto r1 = la::cg(c1, op, jac, b, x1,
-                     {.max_iters = 4000, .rel_tol = 1e-8, .reduce = nullptr});
+                     {.max_iters = 4000, .rel_tol = 1e-8});
 
     auto c2 = core::make_device();
     std::vector<double> x2(a.rows(), 0.0);
     amg::BoomerAmg prec(a, {});
     auto r2 = la::cg(c2, op, prec, b, x2,
-                     {.max_iters = 4000, .rel_tol = 1e-8, .reduce = nullptr});
+                     {.max_iters = 4000, .rel_tol = 1e-8});
 
     t.row({std::to_string(n) + "^2", std::to_string(r1.iterations),
            std::to_string(r2.iterations),

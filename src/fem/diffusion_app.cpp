@@ -37,8 +37,7 @@ class DiffusionRhs final : public ode::OdeRhs {
     auto res = la::cg(*ctx_, mass_, prec, scratch_, ydot.data(),
                       {.max_iters = 200,
                        .rel_tol = 1e-10,
-                       .profiler = cfg_->profiler,
-                       .reduce = nullptr});
+                       .profiler = cfg_->profiler});
     report_->mass_cg_iterations += res.iterations;
   }
 
@@ -115,8 +114,7 @@ class DiffusionNewtonSolver final : public ode::OdeLinearSolver {
     auto res = la::cg(*ctx_, system_, prec, rhs_, x.data(),
                       {.max_iters = 500,
                        .rel_tol = 1e-8,
-                       .profiler = cfg_->profiler,
-                       .reduce = nullptr});
+                       .profiler = cfg_->profiler});
     report_->cg_iterations += res.iterations;
     report_->cg_solves += 1;
   }

@@ -55,28 +55,8 @@ SolveResult cg(core::ExecContext& ctx, const Operator& a,
   copy(ctx, z, p);
 
   SolveResult res;
-  // Every scalar a dot/norm produces goes through the (optional) global
-  // reduction hook; counting rounds even without a hook keeps the
-  // communication structure visible to single-process callers.
-  auto greduce = [&](std::span<double> vals) {
-    if (opts.reduce) opts.reduce(vals);
-    res.reductions += 1;
-  };
-  // The ABFT guard rewrites z mid-iteration, which the fused round's early
-  // preconditioner apply would then clobber — fall back to two rounds.
-  const bool fuse_rounds = opts.fused_reductions && opts.abft_every == 0;
-
   double rz = dot(ctx, r, z);
-  double rr0 = dot(ctx, r, r);
-  if (fuse_rounds) {
-    double pair[2] = {rz, rr0};
-    greduce(pair);
-    rz = pair[0];
-    rr0 = pair[1];
-  } else {
-    greduce(std::span<double>(&rz, 1));
-    greduce(std::span<double>(&rr0, 1));
-  }
+  const double rr0 = dot(ctx, r, r);
   const double r0 = std::sqrt(rr0);
   res.initial_residual = r0;
   res.final_residual = r0;
@@ -95,13 +75,10 @@ SolveResult cg(core::ExecContext& ctx, const Operator& a,
       prof::Scope s(opts.profiler, &ctx, "spmv");
       a.apply(ctx, p, ap);
     }
-    double pap, alpha, rr = 0.0, rnorm = 0.0;
-    double rz_new = 0.0;
-    bool have_rz_new = false;
+    double pap, alpha, rr = 0.0;
     {
       prof::Scope s(opts.profiler, &ctx, "blas1");
       pap = dot(ctx, p, ap);
-      greduce(std::span<double>(&pap, 1));
       if (pap == 0.0) break;
       alpha = rz / pap;
       if (opts.fused) {
@@ -122,32 +99,7 @@ SolveResult cg(core::ExecContext& ctx, const Operator& a,
         rr = dot(ctx, r, r);
       }
     }
-    if (fuse_rounds) {
-      // Comm-avoiding round fusion: compute the preconditioned product
-      // locally now, then reduce {||r||^2, r.z} in ONE 2-wide round. Each
-      // element crosses the wire exactly as its own 1-wide round would, so
-      // the scalars — and the whole solve — stay bitwise identical.
-      prof::Scope s(opts.profiler, &ctx, "precond");
-      if (opts.fused && !md.empty()) {
-        rz_new = ctx.fused(n)
-                     .then({1.0, 24.0},
-                           [&](std::size_t i) { z[i] = r[i] / md[i]; })
-                     .elide(8.0)
-                     .reduce_sum({2.0, 16.0},
-                                 [&](std::size_t i) { return r[i] * z[i]; });
-      } else {
-        m.apply(ctx, r, z);
-        rz_new = dot(ctx, r, z);
-      }
-      double pair[2] = {rr, rz_new};
-      greduce(pair);
-      rr = pair[0];
-      rz_new = pair[1];
-      have_rz_new = true;
-    } else {
-      greduce(std::span<double>(&rr, 1));
-    }
-    rnorm = std::sqrt(rr);
+    double rnorm = std::sqrt(rr);
     bool restart = false;
     if (opts.abft_every > 0 && it % opts.abft_every == 0) {
       // ABFT residual guard: the recursion's rnorm must track the true
@@ -155,9 +107,7 @@ SolveResult cg(core::ExecContext& ctx, const Operator& a,
       prof::Scope s(opts.profiler, &ctx, "abft");
       a.apply(ctx, x, ap);
       axpby(ctx, 1.0, b, -1.0, ap, z);
-      double tsq = dot(ctx, z, z);
-      greduce(std::span<double>(&tsq, 1));
-      const double tnorm = std::sqrt(tsq);
+      const double tnorm = std::sqrt(dot(ctx, z, z));
       ++res.abft_checks;
       const double mismatch = std::abs(tnorm - rnorm);
       if (!(mismatch <= opts.abft_tol * std::max(tnorm, rnorm))) {
@@ -175,7 +125,8 @@ SolveResult cg(core::ExecContext& ctx, const Operator& a,
       res.converged = true;
       return res;
     }
-    if (!have_rz_new) {
+    double rz_new;
+    {
       prof::Scope s(opts.profiler, &ctx, "precond");
       if (opts.fused && !md.empty()) {
         rz_new = ctx.fused(n)
@@ -188,7 +139,6 @@ SolveResult cg(core::ExecContext& ctx, const Operator& a,
         m.apply(ctx, r, z);
         rz_new = dot(ctx, r, z);
       }
-      greduce(std::span<double>(&rz_new, 1));
     }
     const double beta = restart ? 0.0 : rz_new / rz;
     rz = rz_new;

@@ -3,7 +3,6 @@
 // SPD systems.
 
 #include <cstddef>
-#include <functional>
 #include <span>
 
 #include "la/csr.hpp"
@@ -42,23 +41,6 @@ struct SolveOptions {
   /// tax is visible in simulated time.
   std::size_t abft_every = 0;
   double abft_tol = 1e-6;
-  /// Global-reduction hook for distributed CG: every scalar produced by a
-  /// dot/norm (pap, ||r||^2, r.z, the ABFT true-residual norm) is passed
-  /// through it before use, so ranks running CG over row slices of one
-  /// system can plug in a collective (e.g. net::allreduce_sum on their
-  /// communicator). Unset = single-domain solve, values pass through
-  /// untouched. The hook must reduce elementwise and identically on all
-  /// ranks. Only cg() honors it.
-  std::function<void(std::span<double>)> reduce;
-  /// CG only, comm-avoiding: combine the iteration's two reduction rounds
-  /// (the ||r||^2 convergence check and the preconditioned r.z product)
-  /// into ONE 2-wide call of `reduce` per iteration, halving the
-  /// latency-bound collective count. The preconditioner apply moves before
-  /// the convergence check (one elementwise apply of wasted work on the
-  /// final iteration); every element is still reduced exactly as the
-  /// two-round path reduces it, so results are bitwise identical.
-  /// Ignored when abft_every > 0 (the guard consumes z mid-iteration).
-  bool fused_reductions = false;
 };
 
 struct SolveResult {
@@ -68,7 +50,6 @@ struct SolveResult {
   double initial_residual = 0.0;
   std::size_t abft_checks = 0;  ///< true-residual recomputations performed
   std::size_t abft_trips = 0;   ///< checks that forced a recursion restart
-  std::size_t reductions = 0;   ///< global reduction rounds (cg only)
 };
 
 /// Preconditioned conjugate gradients. `x` holds the initial guess on entry

@@ -2,11 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
-#include <memory>
 #include <vector>
-
-#include "core/exec.hpp"
 
 namespace coe::net {
 
@@ -162,14 +158,6 @@ void allreduce(mpi::Communicator& comm, std::span<double> inout, Op op,
   if (stats) stats->reductions += 1;
   if (comm.size() <= 1) return;
   switch (algo) {
-    case AllreduceAlgo::Central:
-      if (op == Op::Sum) {
-        comm.allreduce_sum(inout);
-      } else {
-        comm.allreduce_max(inout);
-      }
-      logger.allreduce(8.0 * static_cast<double>(inout.size()));
-      return;
     case AllreduceAlgo::Naive:
       allreduce_naive(comm, inout, op, stats, logger);
       return;
@@ -186,7 +174,6 @@ void allreduce(mpi::Communicator& comm, std::span<double> inout, Op op,
 
 const char* algo_name(AllreduceAlgo a) {
   switch (a) {
-    case AllreduceAlgo::Central: return "central";
     case AllreduceAlgo::Naive: return "naive";
     case AllreduceAlgo::RecursiveDoubling: return "rd";
     case AllreduceAlgo::Ring: return "ring";
@@ -198,8 +185,6 @@ std::size_t allreduce_messages(AllreduceAlgo a, int ranks) {
   if (ranks <= 1) return 0;
   const auto p = static_cast<std::size_t>(ranks);
   switch (a) {
-    case AllreduceAlgo::Central:
-      return 0;
     case AllreduceAlgo::Naive:
       return p * (p - 1);
     case AllreduceAlgo::RecursiveDoubling: {
@@ -225,8 +210,6 @@ double modeled_allreduce(AllreduceAlgo a, const hsim::ClusterModel& net,
   const double b = static_cast<double>(bytes);
   const double rounds = std::ceil(std::log2(p));
   switch (a) {
-    case AllreduceAlgo::Central:
-      return net.allreduce(bytes, ranks);
     case AllreduceAlgo::Naive:
       // Every rank injects p-1 full vectors through one NIC.
       return (p - 1.0) * (net.alpha + net.beta * b);
@@ -266,23 +249,6 @@ double allreduce_max(mpi::Communicator& comm, double v, AllreduceAlgo algo,
                      NetStats* stats, RankLogger logger) {
   allreduce(comm, std::span<double>(&v, 1), Op::Max, algo, stats, logger);
   return v;
-}
-
-std::function<void(std::span<double>)> logged_reduce(
-    mpi::Communicator& comm, AllreduceAlgo algo, NetStats* stats,
-    RankLogger logger, core::ExecContext* ctx) {
-  // The cursor lives on the heap so copies of the std::function share it
-  // (la::cg copies its SolveOptions).
-  auto cursor =
-      std::make_shared<double>(ctx ? ctx->simulated_time() : 0.0);
-  return [&comm, algo, stats, logger, ctx, cursor](std::span<double> vals) {
-    if (ctx != nullptr) {
-      const double s = ctx->simulated_time();
-      logger.compute(s - *cursor);
-      *cursor = s;
-    }
-    allreduce_sum(comm, vals, algo, stats, logger);
-  };
 }
 
 }  // namespace coe::net

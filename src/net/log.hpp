@@ -3,7 +3,10 @@
 // net collectives append one event per communication action or overlapped
 // compute interval; reprice() replays the log against a ClusterModel's
 // per-link occupancy to produce a timeline estimate alongside the old
-// fully-sequentialized alpha-beta bound.
+// fully-sequentialized alpha-beta bound. There are three event kinds and
+// no collective kind: a collective is logged as the Send/Recv events of
+// its real message pattern (net::allreduce_sum), and the Communicator's
+// shared-buffer collectives cannot be logged at all.
 //
 // Event conventions:
 //  * Send is logged at post time. `blocking` distinguishes a synchronous
@@ -14,10 +17,6 @@
 //    between post and wait hide the transfer in the replay.
 //  * Compute carries modeled kernel seconds (e.g. an ExecContext
 //    simulated-time delta) spent between communication actions.
-//  * Allreduce/Barrier mark legacy shared-buffer collectives that send no
-//    point-to-point messages; reprice prices them on the analytic
-//    ClusterModel collective costs. Collectives built from real messages
-//    (net::allreduce_sum) log their constituent Send/Recv events instead.
 
 #include <chrono>
 #include <cstddef>
@@ -27,12 +26,12 @@
 namespace coe::net {
 
 struct NetEvent {
-  enum class Kind { Send, Recv, Compute, Allreduce, Barrier };
+  enum class Kind { Send, Recv, Compute };
   Kind kind = Kind::Compute;
   int rank = 0;      ///< rank whose program order this event belongs to
   int peer = -1;     ///< destination (Send) / source (Recv)
   int tag = 0;
-  double bytes = 0.0;    ///< message payload (Send/Recv) or collective size
+  double bytes = 0.0;    ///< message payload (Send/Recv)
   double seconds = 0.0;  ///< Compute only: modeled kernel seconds
   bool blocking = true;  ///< Send only: synchronous vs posted
   /// Wall-clock seconds since the owning log's epoch, stamped at the
@@ -107,16 +106,6 @@ class RankLogger {
   void compute(double seconds) const {
     if (log_ && seconds > 0.0) {
       log_->push({NetEvent::Kind::Compute, rank_, -1, 0, 0.0, seconds, true});
-    }
-  }
-  void allreduce(double bytes) const {
-    if (log_) {
-      log_->push({NetEvent::Kind::Allreduce, rank_, -1, 0, bytes, 0.0, true});
-    }
-  }
-  void barrier() const {
-    if (log_) {
-      log_->push({NetEvent::Kind::Barrier, rank_, -1, 0, 0.0, 0.0, true});
     }
   }
 

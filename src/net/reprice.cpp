@@ -1,7 +1,6 @@
 #include "net/reprice.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <deque>
 #include <map>
 #include <tuple>
@@ -51,13 +50,8 @@ Replay replay(const NetLog& log, const hsim::ClusterModel& net, int ranks) {
   // FIFO per (src, dst, tag) — the matching the mailbox substrate enforces.
   std::map<std::tuple<int, int, int>, std::deque<std::pair<double, std::size_t>>>
       arrivals;
-  double coll_cost = 0.0;
   double cross_bytes = 0.0;
   const int half = ranks / 2;
-
-  auto barrier_cost = [&]() {
-    return ranks > 1 ? 2.0 * std::ceil(std::log2(ranks)) * net.alpha : 0.0;
-  };
 
   while (true) {
     bool progress = false;
@@ -90,7 +84,7 @@ Replay replay(const NetLog& log, const hsim::ClusterModel& net, int ranks) {
           if ((static_cast<int>(r) < half) != (e.peer < half)) {
             cross_bytes += e.bytes;
           }
-        } else if (e.kind == NetEvent::Kind::Recv) {
+        } else {  // Recv
           auto it = arrivals.find({e.peer, static_cast<int>(r), e.tag});
           if (it == arrivals.end() || it->second.empty()) break;  // blocked
           const auto [arrival, send_index] = it->second.front();
@@ -106,8 +100,6 @@ Replay replay(const NetLog& log, const hsim::ClusterModel& net, int ranks) {
           // Logged at the wait point: if the rank computed past the
           // arrival meanwhile, the transfer cost vanishes — overlap.
           t[r] = std::max(t[r], done);
-        } else {
-          break;  // parked at a collective until everyone arrives
         }
         re.t_after = t[r];
         ++pos[r];
@@ -115,80 +107,23 @@ Replay replay(const NetLog& log, const hsim::ClusterModel& net, int ranks) {
       }
     }
 
-    std::size_t exhausted = 0;
-    std::size_t parked = 0;
+    bool exhausted = true;
     for (std::size_t r = 0; r < nr; ++r) {
-      if (pos[r] >= rep.rank_events[r].size()) {
-        ++exhausted;
-        continue;
-      }
-      const auto k = rep.events[rep.rank_events[r][pos[r]]].ev.kind;
-      if (k == NetEvent::Kind::Allreduce || k == NetEvent::Kind::Barrier) {
-        ++parked;
-      }
+      if (pos[r] < rep.rank_events[r].size()) exhausted = false;
     }
-    if (exhausted == nr) break;  // replay complete
-
-    if (parked == nr) {
-      // Everyone is at a collective: synchronize and charge the analytic
-      // cost. Mismatched kinds mean the program orders disagree.
-      const auto kind = rep.events[rep.rank_events[0][pos[0]]].ev.kind;
-      double bytes = 0.0;
-      double entry = 0.0;
-      const std::ptrdiff_t group =
-          static_cast<std::ptrdiff_t>(rep.groups.size());
-      rep.groups.emplace_back();
-      for (std::size_t r = 0; r < nr; ++r) {
-        const std::size_t ei = rep.rank_events[r][pos[r]];
-        const NetEvent& e = rep.events[ei].ev;
-        if (e.kind != kind) {
-          res.well_formed = false;
-          rep.diagnostics.push_back(
-              "rank " + std::to_string(r) + " is parked at a " +
-              (e.kind == NetEvent::Kind::Allreduce ? std::string("allreduce")
-                                                   : std::string("barrier")) +
-              " while rank 0 is at a different collective kind");
-        }
-        bytes = std::max(bytes, e.bytes);
-        entry = std::max(entry, t[r]);
-        rep.groups.back().push_back(ei);
-      }
-      const double cost =
-          kind == NetEvent::Kind::Allreduce
-              ? net.allreduce(static_cast<std::size_t>(bytes), ranks)
-              : barrier_cost();
-      coll_cost += cost;
-      for (std::size_t r = 0; r < nr; ++r) {
-        const std::size_t ei = rep.rank_events[r][pos[r]];
-        ReplayEvent& re = rep.events[ei];
-        re.t_before = t[r];
-        re.entry = entry;
-        re.cost = cost;
-        re.group = group;
-        t[r] = entry + cost;
-        re.t_after = t[r];
-        ++pos[r];
-      }
-      continue;
-    }
+    if (exhausted) break;  // replay complete
 
     if (!progress) {
-      // Blocked receives with no matching send, or some ranks finished
-      // while others wait on a collective: a deadlocked trace.
+      // Every unfinished rank waits in a recv whose send no rank can still
+      // post: a deadlocked trace.
       res.well_formed = false;
       for (std::size_t r = 0; r < nr; ++r) {
         if (pos[r] >= rep.rank_events[r].size()) continue;
         const NetEvent& e = rep.events[rep.rank_events[r][pos[r]]].ev;
-        if (e.kind == NetEvent::Kind::Recv) {
-          rep.diagnostics.push_back(
-              "rank " + std::to_string(r) + " is blocked in recv(src=" +
-              std::to_string(e.peer) + ", tag=" + std::to_string(e.tag) +
-              ") with no matching send — truncated or malformed log");
-        } else {
-          rep.diagnostics.push_back(
-              "rank " + std::to_string(r) +
-              " is parked at a collective that not every rank reaches");
-        }
+        rep.diagnostics.push_back(
+            "rank " + std::to_string(r) + " is blocked in recv(src=" +
+            std::to_string(e.peer) + ", tag=" + std::to_string(e.tag) +
+            ") with no matching send — truncated or malformed log");
       }
       break;
     }
@@ -221,7 +156,7 @@ Replay replay(const NetLog& log, const hsim::ClusterModel& net, int ranks) {
   rep.makespan_s = makespan;
   res.timeline_s = std::max(makespan, res.bisection_floor_s);
   res.comm_sequential_s = static_cast<double>(res.messages) * net.alpha +
-                          net.beta * res.bytes + coll_cost;
+                          net.beta * res.bytes;
   res.sequential_s = res.compute_s + res.comm_sequential_s;
   return rep;
 }

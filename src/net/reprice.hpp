@@ -15,6 +15,11 @@
 // the substrate coe::xray (DESIGN.md section 16) builds the merged
 // timeline and the distributed critical path on; reprice() is a thin
 // summary of it, bit-identical to the original single-pass version.
+//
+// The log holds only Send, Recv and Compute events, so no rank ever parks
+// at a global synchronization point: a rank advances until it reaches a
+// receive whose message has not been sent yet, and a collective is priced
+// by the messages it is built from.
 
 #include <cstddef>
 #include <string>
@@ -39,8 +44,8 @@ struct RepriceResult {
   double bisection_floor_s = 0.0;
   std::size_t messages = 0;  ///< point-to-point sends in the log
   double bytes = 0.0;        ///< payload bytes of those sends
-  /// False if the replay deadlocked (recv with no matching send, ranks
-  /// parked on mismatched collectives) — results are then partial.
+  /// False if the replay deadlocked (a recv with no matching send) or an
+  /// event names an out-of-range rank — results are then partial.
   bool well_formed = true;
 
   double speedup() const {
@@ -66,15 +71,9 @@ struct ReplayEvent {
   double ej_before = 0.0;
   double eject_start = 0.0;
   double done = 0.0;
-  // Collective only: the synchronization entry time (max program clock
-  // over ranks) and the analytic cost charged on top of it.
-  double entry = 0.0;
-  double cost = 0.0;
   /// Recv: index (into Replay::events) of the matched Send; Send: index of
   /// the matching Recv once one consumed the message. -1 = unmatched.
   std::ptrdiff_t match = -1;
-  /// Collective: id shared by the P events of one synchronization.
-  std::ptrdiff_t group = -1;
 };
 
 /// The full replayed schedule of a NetLog.
@@ -84,8 +83,6 @@ struct Replay {
   /// Per-rank indices into `events`, program order. rank_events[r][p] is
   /// rank r's p-th event.
   std::vector<std::vector<std::size_t>> rank_events;
-  /// Per-collective-group member indices into `events` (one per rank).
-  std::vector<std::vector<std::size_t>> groups;
   std::vector<double> finish;  ///< per-rank final program clock
   std::vector<double> inj;     ///< per-rank final injection-engine time
   std::vector<double> ej;      ///< per-rank final ejection-engine time
@@ -94,7 +91,7 @@ struct Replay {
   double makespan_s = 0.0;
   RepriceResult result;
   /// Human-readable replay problems: blocked receives, unmatched sends,
-  /// events with out-of-range ranks, mismatched collectives. Non-empty
+  /// events with out-of-range ranks. Non-empty
   /// means the log was malformed or truncated; `result.well_formed` is
   /// false for the subset of these the legacy reprice() also detected
   /// (unmatched *sends* alone do not deadlock a replay, so they surface
@@ -106,8 +103,8 @@ struct Replay {
 /// full schedule. Event model: sends occupy the source's injection engine
 /// (blocking sends also advance the program clock through the injection;
 /// posted sends charge only alpha), receives complete at max(arrival,
-/// ejection-engine availability) + the ejection time, collectives are
-/// global synchronization points priced by the analytic ClusterModel cost.
+/// ejection-engine availability) + the ejection time, and compute advances
+/// the program clock by its logged seconds.
 Replay replay(const NetLog& log, const hsim::ClusterModel& net, int ranks);
 
 /// Summary-only replay: exactly replay(...).result.

@@ -264,8 +264,8 @@ void RankContext::checkpoint_exchange() {
     stage_blobs(*store_, gen, recv_rank(pred, kChanBuddy));
     msgs = 1;
   }
-  // Two-phase commit decision: an unlogged Central collective (logging it
-  // would park a dead rank's slot in the replay). Reaching it means every
+  // Two-phase commit decision: the Communicator's unlogged shared-buffer
+  // collective (a NetLog has no event for it). Reaching it means every
   // active rank staged and replicated; any failure before this point
   // raises RankFailed first and the pending generation is aborted.
   comm_->allreduce_max(0.0);

@@ -12,8 +12,9 @@
 //      cfg.ckpt_every steps checkpoint_exchange() stages each part's blob
 //      locally, replicates it to the ring successor in ONE aggregated
 //      tagged message (priced by net::replay, "phoenix/ckpt" span), votes
-//      on an unlogged Central collective — the all-or-none decision of a
-//      two-phase commit — and commits generation (epoch << 32 | step).
+//      on the Communicator's unlogged shared-buffer collective — the
+//      all-or-none decision of a two-phase commit — and commits generation
+//      (epoch << 32 | step).
 //   2. A kill raises resil::RankFailure in the victim (the thread retires
 //      and coe::mpi marks the rank dead); survivors' operations raise the
 //      recoverable mpi::RankFailed. Each survivor revokes the world,
@@ -32,10 +33,11 @@
 //      re-replicates at the restore point (closing the single-copy
 //      window) and replays steps to bitwise-identical state.
 //
-// Logged collectives would deadlock a net::replay whose ranks died, so
-// survivable drivers never log Allreduce/Barrier events: votes ride the
-// unlogged Central reduction, and app data moves only as part-addressed
-// point-to-point messages (bitwise stable under any part->rank mapping).
+// A NetLog has no collective event kind, so no logged collective can park
+// a dead rank's slot in a net::replay: votes ride the Communicator's
+// unlogged shared-buffer reduction, and app data moves only as
+// part-addressed point-to-point messages (bitwise stable under any
+// part->rank mapping).
 // All logged tags are epoch-salted so pre- and post-repair traffic cannot
 // alias.
 

@@ -1,7 +1,6 @@
 #include "xray/merge.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
 #include <utility>
 
@@ -14,7 +13,6 @@ const char* to_string(EdgeKind k) {
     case EdgeKind::Message: return "message";
     case EdgeKind::Injection: return "injection";
     case EdgeKind::Ejection: return "ejection";
-    case EdgeKind::Collective: return "collective";
   }
   return "?";
 }
@@ -140,32 +138,6 @@ struct Walker {
           if (prev_recv[ei] >= 0) {
             pred = {true, static_cast<std::size_t>(prev_recv[ei]),
                     Aspect::Eject};
-          }
-        }
-      } else if (kind == net::NetEvent::Kind::Allreduce ||
-                 kind == net::NetEvent::Kind::Barrier) {
-        if (re.entry <= re.t_before) {
-          // This rank arrived last: the collective chains to its own
-          // program.
-          lower = re.t_before;
-          via = EdgeKind::Program;
-          pred = program_pred(ei);
-        } else {
-          // Bound by the last-arriving member of the group.
-          lower = re.entry;
-          via = EdgeKind::Collective;
-          if (re.group >= 0 &&
-              static_cast<std::size_t>(re.group) < rep.groups.size()) {
-            std::size_t late = ei;
-            double best = -1.0;
-            for (std::size_t mi :
-                 rep.groups[static_cast<std::size_t>(re.group)]) {
-              if (rep.events[mi].t_before > best) {
-                best = rep.events[mi].t_before;
-                late = mi;
-              }
-            }
-            pred = program_pred(late);
           }
         }
       } else if (kind == net::NetEvent::Kind::Send && re.ev.blocking &&
@@ -372,10 +344,9 @@ Report analyze(const MergeInputs& in) {
   if (rep.result.well_formed) critical_path(rep, out);
 
   // Five-way blame. Per rank: program-clock advances classify directly
-  // (compute stays compute for now; sends, receive waits + drains, and
-  // collective costs are comm-wait; waiting at collective entry for a
-  // slower rank is imbalance), the tail from the rank's finish to the
-  // event makespan is imbalance, and any bisection-floor excess beyond the
+  // (compute stays compute for now; sends and receive waits + drains are
+  // comm-wait), the tail from the rank's finish to the event makespan is
+  // imbalance, and any bisection-floor excess beyond the
   // makespan is comm-wait on every rank (the fabric held everyone back).
   // The five buckets therefore sum to timeline_s exactly, per rank.
   const std::size_t nr = static_cast<std::size_t>(in.ranks);
@@ -397,11 +368,6 @@ Report analyze(const MergeInputs& in) {
         case net::NetEvent::Kind::Send:
         case net::NetEvent::Kind::Recv:
           add(Blame::CommWait, adv);
-          break;
-        case net::NetEvent::Kind::Allreduce:
-        case net::NetEvent::Kind::Barrier:
-          add(Blame::Imbalance, std::max(0.0, re.entry - re.t_before));
-          add(Blame::CommWait, re.cost);
           break;
       }
     }

@@ -10,10 +10,11 @@
 //    (src, dst, tag) discipline the mailbox substrate enforces;
 //  * the prof-style critical path is extended ACROSS ranks: message edges
 //    chain a receive's completion to the matched send on the source rank,
-//    injection/ejection edges chain through the NIC engines, collective
-//    edges jump to the last-arriving rank. The resulting distributed
-//    critical path tiles [0, makespan] exactly, so its length equals the
-//    net::reprice makespan (fuzz-tested to 1e-9);
+//    and injection/ejection edges chain through the NIC engines. The log
+//    holds only Send, Recv and Compute events (a collective appears as its
+//    messages), so these five edge kinds cover every step. The resulting
+//    distributed critical path tiles [0, makespan] exactly, so its length
+//    equals the net::reprice makespan (fuzz-tested to 1e-9);
 //  * per-rank wall time is split five ways — compute / memory /
 //    launch-transfer / comm-wait / imbalance — summing to 100%, and
 //    across-rank imbalance (max/mean busy ratio, top-k stragglers,
@@ -40,7 +41,6 @@ enum class EdgeKind : std::uint8_t {
   Message,     ///< the matched send on the source rank (comm wait)
   Injection,   ///< the source NIC's injection engine was still busy
   Ejection,    ///< this rank's ejection engine was still draining
-  Collective,  ///< the last-arriving rank of a collective
 };
 
 const char* to_string(EdgeKind k);
@@ -48,9 +48,8 @@ const char* to_string(EdgeKind k);
 /// The five-way blame taxonomy. Compute/Memory/LaunchTransfer partition a
 /// rank's logged compute seconds (refined by its kernel trace's roofline
 /// classification when one is provided; all Compute otherwise); CommWait
-/// is program-clock time spent in sends, receive waits + drains, and
-/// collective costs; Imbalance is idle time — waiting at collective entry
-/// for slower ranks, plus the tail between the rank's own finish and the
+/// is program-clock time spent in sends and receive waits + drains;
+/// Imbalance is idle time: the tail between the rank's own finish and the
 /// run's makespan.
 enum class Blame : std::uint8_t {
   Compute,
@@ -114,8 +113,7 @@ struct PhaseImbalance {
 struct Report {
   int ranks = 0;
   /// True only when the replay completed without diagnostics: no blocked
-  /// receives, no unmatched sends, no out-of-range ranks, no mismatched
-  /// collectives. False reports keep whatever could be computed and carry
+  /// receives, no unmatched sends, no out-of-range ranks. False reports keep whatever could be computed and carry
   /// the human-readable reasons in `diagnostics`.
   bool well_formed = true;
   std::vector<std::string> diagnostics;
@@ -129,7 +127,7 @@ struct Report {
   std::vector<CritStep> critical_path;  ///< earliest-first, tiles [0, M]
   double critical_s = 0.0;
   double coverage = 0.0;  ///< critical_s / makespan_s (1.0 when tiled)
-  double edge_seconds[6] = {0, 0, 0, 0, 0, 0};  ///< by EdgeKind
+  double edge_seconds[5] = {0, 0, 0, 0, 0};  ///< by EdgeKind
 
   std::vector<RankBlame> blame;  ///< per rank; each totals timeline_s
   RankBlame fleet;               ///< across-rank mean (rank = -1)

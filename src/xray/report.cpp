@@ -18,8 +18,6 @@ const char* kind_name(net::NetEvent::Kind k) {
     case net::NetEvent::Kind::Send: return "send";
     case net::NetEvent::Kind::Recv: return "recv";
     case net::NetEvent::Kind::Compute: return "compute";
-    case net::NetEvent::Kind::Allreduce: return "allreduce";
-    case net::NetEvent::Kind::Barrier: return "barrier";
   }
   return "?";
 }
@@ -112,7 +110,7 @@ std::string straggler_report(const Report& rep, const std::string& title) {
      << std::fixed << std::setprecision(2) << 100.0 * rep.coverage
      << "% of makespan, " << rep.critical_path.size() << " steps)\n";
   os << "  critical path enters via:\n";
-  for (std::size_t i = 0; i < 6; ++i) {
+  for (std::size_t i = 0; i < 5; ++i) {
     if (rep.edge_seconds[i] <= 0.0) continue;
     os << "    " << std::left << std::setw(12)
        << to_string(static_cast<EdgeKind>(i)) << std::right << std::setw(12)
@@ -210,7 +208,7 @@ obs::Json report_json(const Report& rep, const std::string& name) {
         obs::Json::number(static_cast<double>(rep.critical_path.size())));
 
   obs::Json edges = obs::Json::object();
-  for (std::size_t i = 0; i < 6; ++i) {
+  for (std::size_t i = 0; i < 5; ++i) {
     edges.set(to_string(static_cast<EdgeKind>(i)),
               obs::Json::number(rep.edge_seconds[i]));
   }

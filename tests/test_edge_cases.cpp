@@ -64,7 +64,7 @@ TEST(EdgeCase, CgReportsNonConvergenceHonestly) {
   la::CsrOperator op(a);
   la::IdentityPreconditioner id;
   auto res = la::cg(ctx, op, id, b, x,
-                    {.max_iters = 3, .rel_tol = 1e-14, .reduce = nullptr});
+                    {.max_iters = 3, .rel_tol = 1e-14});
   // Either it solved the (diagonal) system exactly or reported failure;
   // it must not report convergence with a bad residual.
   if (res.converged) {

@@ -210,7 +210,7 @@ TEST(Elliptic, GalerkinSolveConvergesWithOrder) {
     for (std::size_t bd : mesh.boundary_dofs()) b[bd] = 0.0;
     la::JacobiPreconditioner prec(op.assembled_matrix());
     la::cg(ctx, op, prec, b, u,
-           {.max_iters = 4000, .rel_tol = 1e-12, .reduce = nullptr});
+           {.max_iters = 4000, .rel_tol = 1e-12});
     double err = 0.0;
     for (std::size_t ix = 0; ix < mesh.ndof_x(); ++ix) {
       for (std::size_t iy = 0; iy < mesh.ndof_y(); ++iy) {
@@ -311,7 +311,7 @@ TEST(Lor, SpectrallyEquivalentPreconditioner) {
     }
     auto ctx = core::make_seq();
     auto res = la::cg(ctx, op, prec, b, x,
-                      {.max_iters = 200, .rel_tol = 1e-8, .reduce = nullptr});
+                      {.max_iters = 200, .rel_tol = 1e-8});
     ASSERT_TRUE(res.converged) << "p=" << p;
     EXPECT_LT(res.iterations, 30u) << "p=" << p;
   }
@@ -373,7 +373,7 @@ TEST(Elliptic, AmgOnLorCutsCgIterationsOnStiffSystem) {
   for (std::size_t i = 0; i < b.size(); ++i) {
     b[i] = mesh.is_boundary(i) ? 0.0 : 1.0;
   }
-  la::SolveOptions opts{.max_iters = 2000, .rel_tol = 1e-8, .reduce = nullptr};
+  la::SolveOptions opts{.max_iters = 2000, .rel_tol = 1e-8};
 
   auto ctx1 = core::make_seq();
   std::vector<double> x1(mesh.num_dofs(), 0.0);

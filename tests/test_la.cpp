@@ -196,7 +196,7 @@ TEST_P(KrylovPoisson, CgConverges) {
   la::CsrOperator op(a);
   la::JacobiPreconditioner prec(a);
   auto res = la::cg(ctx, op, prec, b, x,
-                    {.max_iters = 2000, .rel_tol = 1e-10, .reduce = nullptr});
+                    {.max_iters = 2000, .rel_tol = 1e-10});
   ASSERT_TRUE(res.converged);
   for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-6);
 }

@@ -341,7 +341,7 @@ CgRun run_cg(double capacity_bytes) {  // 0: huge (machine), -1: no arena
   std::vector<double> b(a.rows(), 1.0), x(a.rows(), 0.0);
   CgRun r;
   r.res = la::cg(ctx, op, prec, b, x,
-                 {.max_iters = 200, .rel_tol = 1e-8, .reduce = nullptr});
+                 {.max_iters = 200, .rel_tol = 1e-8});
   ctx.sync();
   r.totals = {ctx.simulated_time(), ctx.counters()};
   r.x = std::move(x);

@@ -15,8 +15,6 @@
 #include <vector>
 
 #include "core/exec.hpp"
-#include "la/csr.hpp"
-#include "la/krylov.hpp"
 #include "mpi/comm.hpp"
 #include "net/net.hpp"
 #include "stencil/distributed.hpp"
@@ -170,9 +168,9 @@ TEST(Net, DeadlineExpiryRetriesBeforeCompleting) {
 TEST(Net, AllreduceSumAllAlgorithmsCorrect) {
   // Integer-valued doubles sum exactly, so every algorithm must agree with
   // the analytic total on both power-of-two and ragged rank counts.
-  const net::AllreduceAlgo algos[] = {
-      net::AllreduceAlgo::Central, net::AllreduceAlgo::Naive,
-      net::AllreduceAlgo::RecursiveDoubling, net::AllreduceAlgo::Ring};
+  const net::AllreduceAlgo algos[] = {net::AllreduceAlgo::Naive,
+                                       net::AllreduceAlgo::RecursiveDoubling,
+                                       net::AllreduceAlgo::Ring};
   for (int ranks : {1, 2, 4, 7}) {
     for (auto algo : algos) {
       mpi::run(ranks, [&](mpi::Communicator& comm) {
@@ -195,9 +193,9 @@ TEST(Net, AllreduceSumAllAlgorithmsCorrect) {
 }
 
 TEST(Net, AllreduceMaxAllAlgorithmsCorrect) {
-  const net::AllreduceAlgo algos[] = {
-      net::AllreduceAlgo::Central, net::AllreduceAlgo::Naive,
-      net::AllreduceAlgo::RecursiveDoubling, net::AllreduceAlgo::Ring};
+  const net::AllreduceAlgo algos[] = {net::AllreduceAlgo::Naive,
+                                       net::AllreduceAlgo::RecursiveDoubling,
+                                       net::AllreduceAlgo::Ring};
   for (auto algo : algos) {
     mpi::run(5, [&](mpi::Communicator& comm) {
       std::vector<double> v{double(comm.rank()), -double(comm.rank()),
@@ -446,22 +444,6 @@ TEST(Net, RepriceBlockingSendStallsSender) {
   EXPECT_GT(makespan(true), makespan(false) + 3e-3);
 }
 
-TEST(Net, RepriceCollectiveSynchronizesRanks) {
-  const auto cl = test_cluster(1e-6, 1e-9);
-  net::NetLog log;
-  net::RankLogger r0(&log, 0), r1(&log, 1), r2(&log, 2);
-  r0.compute(1e-3);
-  r0.allreduce(800.0);
-  r1.allreduce(800.0);
-  r2.compute(3e-3);
-  r2.allreduce(800.0);
-  const auto rr = net::reprice(log, cl, 3);
-  EXPECT_TRUE(rr.well_formed);
-  // Everyone leaves the collective no earlier than the slowest entrant
-  // plus the analytic collective cost.
-  EXPECT_GE(rr.timeline_s, 3e-3 + cl.allreduce(800, 3));
-}
-
 TEST(Net, RepriceDeadlockIsNotWellFormed) {
   const auto cl = test_cluster(1e-6, 1e-9);
   net::NetLog log;
@@ -553,108 +535,6 @@ TEST(Net, DistributedWaveRepriceShowsOverlapWin) {
   EXPECT_EQ(res.field, base.field);  // numerics unchanged by scheduling
   // Aggregation + overlap must not model slower than neither.
   EXPECT_LE(res.modeled.timeline_s, base.modeled.timeline_s);
-}
-
-TEST(Net, CgReduceHookMatchesSingleDomainBitwise) {
-  // Four ranks each solve the identical system; the reduce hook allreduces
-  // (sum of four identical values = 4v exactly) and rescales by 1/4 (a
-  // power of two, exact). Every rank must reproduce the hook-free solve
-  // bit for bit, proving the hook sits at exactly the right points.
-  auto a = la::poisson2d(16, 16);
-  la::CsrOperator op(a);
-  la::JacobiPreconditioner jacobi(a);
-  std::vector<double> b(a.rows(), 1.0);
-
-  auto ctx0 = core::make_seq();
-  std::vector<double> x_ref(a.rows(), 0.0);
-  la::SolveOptions opts;
-  opts.max_iters = 80;
-  opts.rel_tol = 1e-10;
-  const auto ref = la::cg(ctx0, op, jacobi, b, x_ref, opts);
-  EXPECT_GT(ref.reductions, 0u);  // rounds are counted even without a hook
-
-  const int ranks = 4;
-  std::vector<std::vector<double>> xs(ranks);
-  std::vector<std::size_t> reductions(ranks, 0);
-  mpi::run(ranks, [&](mpi::Communicator& comm) {
-    auto ctx = core::make_seq();
-    auto& x = xs[std::size_t(comm.rank())];
-    x.assign(a.rows(), 0.0);
-    la::SolveOptions dopts = opts;
-    dopts.reduce = [&](std::span<double> vals) {
-      net::allreduce_sum(comm, vals,
-                         net::AllreduceAlgo::RecursiveDoubling);
-      for (auto& v : vals) v *= 0.25;
-    };
-    const auto res = la::cg(ctx, op, jacobi, b, x, dopts);
-    EXPECT_EQ(res.iterations, ref.iterations);
-    EXPECT_EQ(res.reductions, ref.reductions);  // same round structure
-    reductions[std::size_t(comm.rank())] = res.reductions;
-  });
-  for (int r = 0; r < ranks; ++r) {
-    EXPECT_EQ(xs[std::size_t(r)], x_ref) << "rank " << r;
-    EXPECT_GT(reductions[std::size_t(r)], 0u);
-  }
-}
-
-TEST(Net, CgFusedReductionsBitwiseIdenticalHalvesRounds) {
-  auto a = la::poisson2d(20, 20);
-  la::CsrOperator op(a);
-  la::JacobiPreconditioner jacobi(a);
-  std::vector<double> b(a.rows(), 1.0);
-
-  auto solve = [&](bool fuse, std::vector<double>& x) {
-    auto ctx = core::make_seq();
-    x.assign(a.rows(), 0.0);
-    la::SolveOptions opts;
-    opts.max_iters = 80;
-    opts.rel_tol = 1e-10;
-    opts.fused_reductions = fuse;
-    opts.reduce = [](std::span<double>) {};  // count-only hook
-    return la::cg(ctx, op, jacobi, b, x, opts);
-  };
-  std::vector<double> x2, x1;
-  const auto two_round = solve(false, x2);
-  const auto one_round = solve(true, x1);
-  EXPECT_EQ(two_round.iterations, one_round.iterations);
-  EXPECT_EQ(x2, x1);  // element-wise bitwise equality
-  // Two rounds (pap; rr) + separate rz round vs pap + one fused pair:
-  // 3 rounds/iter drop to 2 (plus the init rounds shrinking 2 -> 1).
-  EXPECT_LT(one_round.reductions, two_round.reductions);
-  // Init: 2 rounds (r.z, then ||r||^2) vs 1 fused pair. Per iteration:
-  // pap + ||r||^2 + r.z vs pap + fused pair — except the converging
-  // iteration, which breaks before the two-round path's r.z round.
-  const std::size_t it = two_round.iterations;
-  EXPECT_EQ(two_round.reductions, 1 + 3 * it);
-  EXPECT_EQ(one_round.reductions, 1 + 2 * it);
-}
-
-TEST(Net, CgFusedReductionsAlsoExactUnderKernelFusion) {
-  // fused (kernel launches) and fused_reductions (collective rounds) are
-  // orthogonal; combined they must still match the plain solve bitwise.
-  auto a = la::poisson2d(12, 12);
-  la::CsrOperator op(a);
-  la::JacobiPreconditioner jacobi(a);
-  std::vector<double> b(a.rows(), 1.0);
-  auto solve = [&](bool fuse_kernels, bool fuse_rounds,
-                   std::vector<double>& x) {
-    auto ctx = core::make_seq();
-    x.assign(a.rows(), 0.0);
-    la::SolveOptions opts;
-    opts.max_iters = 60;
-    opts.rel_tol = 1e-10;
-    opts.fused = fuse_kernels;
-    opts.fused_reductions = fuse_rounds;
-    return la::cg(ctx, op, jacobi, b, x, opts);
-  };
-  std::vector<double> x00, x01, x10, x11;
-  solve(false, false, x00);
-  solve(false, true, x01);
-  solve(true, false, x10);
-  solve(true, true, x11);
-  EXPECT_EQ(x00, x01);
-  EXPECT_EQ(x00, x10);
-  EXPECT_EQ(x00, x11);
 }
 
 // --- Driver pins ---------------------------------------------------------
