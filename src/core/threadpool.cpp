@@ -38,7 +38,9 @@ void ThreadPool::run(std::size_t n, FnRef fn) {
   const std::size_t chunks = chunk_count(n);
 
   if (chunks == 1 || workers_.empty()) {
-    fn(0, 0, n);
+    for (std::size_t c = 0; c < chunks; ++c) {
+      fn(c, n * c / chunks, n * (c + 1) / chunks);
+    }
     return;
   }
 

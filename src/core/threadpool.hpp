@@ -1,10 +1,11 @@
 #pragma once
 // Minimal blocking-fork-join thread pool used by the Threads backend.
 // Workers are created once and parked on a condition variable; parallel_for
-// partitions [0, n) into ~4x oversubscribed contiguous chunks that workers
-// claim from a shared atomic counter (guided scheduling), so irregular
-// bodies (CSR rows, neighbor lists) balance instead of being pinned to one
-// static chunk per worker.
+// partitions [0, n) into min(n, 16) contiguous chunks that workers claim
+// from a shared atomic counter (guided scheduling), so irregular bodies
+// (CSR rows, neighbor lists) balance instead of being pinned to one static
+// chunk per worker. The partition depends on n only, never on the pool
+// size, so chunk-indexed reductions give the same bits on every host.
 
 #include <atomic>
 #include <condition_variable>
@@ -29,10 +30,12 @@ class ThreadPool {
 
   /// Number of chunks parallel_for(n, ...) will partition [0, n) into —
   /// the maximum fan-out of fn invocations, so callers can size per-chunk
-  /// accumulators safely. ~4x the worker count so claimed chunks balance.
+  /// accumulators safely. Fixed at 16 (4x a 4-core host, so claimed
+  /// chunks balance) rather than scaled by size(), so that reduction bits
+  /// do not depend on the host's core count.
   std::size_t chunk_count(std::size_t n) const {
-    const std::size_t target = 4 * size();
-    return n < target ? n : target;
+    constexpr std::size_t kChunks = 16;
+    return n < kChunks ? n : kChunks;
   }
 
   /// Runs fn(lo, hi) -- or fn(chunk, lo, hi), for per-chunk accumulators
