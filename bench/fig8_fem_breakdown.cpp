@@ -1,8 +1,8 @@
 // Figure 8 reproduction: "Timing breakdown of nonlinear diffusion problem"
 // -- linear-system formulation, preconditioner setup, and solve phases for
 // a ~1M-dof high-order problem, single P8 CPU thread vs one P100. The
-// coupled solver runs for real; each phase's kernels are priced on both
-// machines (per-phase counters from the timeline).
+// coupled solver runs for real; each phase's traced kernels are priced on
+// both machines.
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -44,27 +44,43 @@ COE_BENCH_MAIN(fig8_fem_breakdown) {
                   ? double(rep.cg_iterations) / double(rep.cg_solves)
                   : 0.0);
 
+  // The GPU column sums every traced launch and transfer, so a trace ring
+  // that wrapped would silently drop busy time.
+  if (bench.trace().dropped() > 0) {
+    std::fprintf(stderr, "fig8: the trace dropped %llu events\n",
+                 static_cast<unsigned long long>(bench.trace().dropped()));
+    return 1;
+  }
+
   // Per-phase times on the P100 (primary model) and a P8 thread. The CPU
   // column reprices every traced launch individually — the aggregate
-  // CostModel::predict(ph.counters) is only a lower bound when a phase
-  // mixes compute- and memory-bound kernels (see cost.hpp).
+  // CostModel::predict is only a lower bound when a phase mixes compute-
+  // and memory-bound kernels (see cost.hpp).
   const hsim::CostModel cpu(hsim::machines::power8_thread());
   core::Table t({"Phase", "P8 1-thread (s)", "P100 (s)", "speedup"});
   double cpu_total = 0.0, gpu_total = 0.0;
+  // P100 busy seconds per traced phase, in first-use order.
+  auto add = [](std::vector<std::pair<std::string, double>>& sums,
+                const std::string& name, double seconds) {
+    auto it = std::find_if(sums.begin(), sums.end(),
+                           [&](const auto& g) { return g.first == name; });
+    if (it == sums.end()) {
+      sums.emplace_back(name, seconds);
+    } else {
+      it->second += seconds;
+    }
+  };
+  std::vector<std::pair<std::string, double>> phases;
+  for (const auto& e : bench.trace().snapshot()) {
+    if (!obs::is_marker(e.kind)) add(phases, e.phase, e.duration);
+  }
   // The profiler tags CG-internal kernels with nested paths
   // ("solve/cg/spmv"); fold those into their top-level phase so the table
   // keeps the figure's three-row shape. reprice's phase filter is
   // hierarchical, so the grouped name re-prices the whole subtree.
   std::vector<std::pair<std::string, double>> groups;
-  for (const auto& ph : gpu.timeline().phases()) {
-    const std::string head = ph.name.substr(0, ph.name.find('/'));
-    auto it = std::find_if(groups.begin(), groups.end(),
-                           [&](const auto& g) { return g.first == head; });
-    if (it == groups.end()) {
-      groups.emplace_back(head, ph.seconds);
-    } else {
-      it->second += ph.seconds;
-    }
+  for (const auto& [name, seconds] : phases) {
+    add(groups, name.substr(0, name.find('/')), seconds);
   }
   for (const auto& [name, seconds] : groups) {
     const double t_gpu = seconds;

@@ -5,12 +5,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <string_view>
-#include <vector>
 
 #include "core/machine.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace coe::hsim {
@@ -114,42 +111,11 @@ class CostModel {
 
 /// Re-prices a recorded kernel/transfer trace on `m`, per event — the
 /// authoritative per-launch form that CostModel::predict can only lower
-/// bound. Restricting to one timeline phase (empty = all) gives the
+/// bound. Restricting to one trace phase (empty = all) gives the
 /// cross-machine per-phase breakdowns of Figures 2/8 without shadowing.
 /// The phase filter is hierarchical: "solve" also matches events tagged
 /// "solve/cg/spmv" by nested prof::Scope spans.
 double reprice(const obs::TraceBuffer& trace, const CostModel& m,
                std::string_view phase = {});
-
-/// Publishes a counter set into a metrics registry under dotted names
-/// ("<prefix>.flops", ".bytes", ".launches", ".transfers", ".h2d_bytes",
-/// ".d2h_bytes"). Deltas accumulate, so several contexts may publish under
-/// one prefix.
-void publish(obs::MetricsRegistry& m, const std::string& prefix,
-             const Counters& c);
-
-/// Named phase accumulator with both simulated and (optionally) measured
-/// time, used to print the per-phase breakdowns of Figures 2 and 8.
-class Timeline {
- public:
-  struct Phase {
-    std::string name;
-    double seconds = 0.0;
-    Counters counters;
-  };
-
-  /// Adds `seconds` (and counts) to the named phase, creating it on first use.
-  void add(const std::string& name, double seconds,
-           const Counters& c = Counters{});
-
-  const std::vector<Phase>& phases() const { return phases_; }
-  double total() const;
-  /// Formats a fixed-width breakdown table.
-  std::string report(const std::string& title) const;
-  void clear() { phases_.clear(); }
-
- private:
-  std::vector<Phase> phases_;
-};
 
 }  // namespace coe::hsim

@@ -49,7 +49,8 @@ class FusedRegion;
 
 /// Execution resource: a backend plus the machine model it charges time to.
 /// Every kernel launch, reduction, and buffer transfer updates this
-/// context's counters, simulated clock, and current timeline phase.
+/// context's counters and simulated clock, and is traced under the current
+/// phase when a trace buffer is attached.
 class ExecContext {
  public:
   /// Host-only context charging time to `host_model`.
@@ -76,7 +77,6 @@ class ExecContext {
   void reset() {
     counters_.reset();
     sim_time_ = 0.0;
-    timeline_.clear();
     // Shadow accumulators are part of the run being reset too — leaving
     // them would make shadow_time() report stale totals forever after.
     for (auto& s : shadows_) s.second = 0.0;
@@ -89,8 +89,7 @@ class ExecContext {
     next_event_id_ = 0;
   }
 
-  hsim::Timeline& timeline() { return timeline_; }
-  /// Subsequent launches/transfers accrue to this named timeline phase.
+  /// Subsequent launches/transfers are traced under this phase name.
   void set_phase(std::string name) { phase_ = std::move(name); }
   const std::string& phase() const { return phase_; }
 
@@ -138,7 +137,7 @@ class ExecContext {
   }
 
   /// Opt-in per-kernel tracing: attaches a (non-owned) ring buffer that
-  /// receives one event per launch/transfer — phase, label, exact
+  /// receives one event per launch/transfer — phase, operation kind, exact
   /// flop/byte counts, predicted duration, backend, stream id, and the
   /// roofline memory-/compute-bound classification against this machine's
   /// ridge. nullptr detaches; with no buffer attached the only cost per
@@ -153,18 +152,10 @@ class ExecContext {
   }
   obs::TraceBuffer* trace() const { return trace_; }
 
-  /// Subsequent launches are traced under this label; an empty label
-  /// (the default) falls back to the operation kind ("forall",
-  /// "reduce_sum", "transfer", ...). Like set_phase, it sticks until
-  /// changed.
-  void set_label(std::string label) { label_ = std::move(label); }
-  const std::string& label() const { return label_; }
-
   /// RAJA-style parallel loop over [0, n). `w` annotates per-iteration work
   /// so the machine model can price the launch.
   template <typename Body>
   void forall(std::size_t n, hsim::Workload w, Body&& body) {
-    launch_begin();
     dispatch(n, [&](std::size_t lo, std::size_t hi) {
       for (std::size_t i = lo; i < hi; ++i) body(i);
     });
@@ -183,7 +174,6 @@ class ExecContext {
   template <typename Body>
   void forall2(std::size_t ni, std::size_t nj, hsim::Workload w, Body&& body) {
     const std::size_t n = ni * nj;
-    launch_begin();
     dispatch(n, [&, nj](std::size_t lo, std::size_t hi) {
       std::size_t i = lo / nj;
       std::size_t j = lo % nj;
@@ -205,7 +195,6 @@ class ExecContext {
   void forall3(std::size_t ni, std::size_t nj, std::size_t nk,
                hsim::Workload w, Body&& body) {
     const std::size_t n = ni * nj * nk;
-    launch_begin();
     dispatch(n, [&, nj, nk](std::size_t lo, std::size_t hi) {
       const std::size_t njk = nj * nk;
       std::size_t i = lo / njk;
@@ -229,7 +218,6 @@ class ExecContext {
   /// Sum reduction: body(i) returns each iterate's contribution.
   template <typename Body>
   double reduce_sum(std::size_t n, hsim::Workload w, Body&& body) {
-    launch_begin();
     const double sum =
         reduce(n, 0.0, body, [](double a, double b) { return a + b; });
     launch_end(hsim::total(w, n), "reduce_sum");
@@ -239,7 +227,6 @@ class ExecContext {
   /// Max reduction.
   template <typename Body>
   double reduce_max(std::size_t n, hsim::Workload w, Body&& body) {
-    launch_begin();
     const double m = reduce(n, -1.7976931348623157e308, body,
                             [](double a, double b) { return b > a ? b : a; });
     launch_end(hsim::total(w, n), "reduce_max");
@@ -273,21 +260,13 @@ class ExecContext {
   /// Records a host<->device transfer of `bytes` (h2d if `to_device`).
   void record_transfer(double bytes, bool to_device) {
     counters_.transfers += 1;
-    // The timeline gets the same delta as the global counters, so
-    // per-phase breakdowns carry transfer counts and h2d/d2h bytes
-    // instead of silently dropping them.
-    hsim::Counters delta;
-    delta.transfers = 1;
     if (to_device) {
       counters_.h2d_bytes += bytes;
-      delta.h2d_bytes = bytes;
     } else {
       counters_.d2h_bytes += bytes;
-      delta.d2h_bytes = bytes;
     }
     const double t = model_.transfer_time(bytes);
     const double start = schedule_transfer(t, to_device);
-    timeline_.add(phase_, t, delta);
     if (trace_) {
       obs::TraceEvent e;
       e.kind = to_device ? obs::TraceEvent::Kind::TransferH2D
@@ -295,7 +274,7 @@ class ExecContext {
       e.bound = obs::TraceEvent::Bound::Memory;
       e.backend = to_string(backend_);
       e.phase = phase_;
-      e.label = label_.empty() ? "transfer" : label_;
+      e.label = "transfer";
       e.bytes = bytes;
       e.t_start = start;
       e.duration = t;
@@ -307,7 +286,6 @@ class ExecContext {
 
   /// Charges an explicit cost (for kernels not expressible as forall).
   void record_kernel(const hsim::KernelCost& c) {
-    launch_begin();
     launch_end(c, "kernel");
   }
 
@@ -357,8 +335,6 @@ class ExecContext {
  private:
   template <std::size_t Dim, typename... Bodies>
   friend class FusedRegion;
-
-  void launch_begin() {}
 
   /// Folds body(i) over [0, n) with `op` from `init`. On the Threads
   /// backend each chunk folds into its own slot, indexed by the chunk (not
@@ -449,11 +425,6 @@ class ExecContext {
     counters_.bytes += c.bytes;
     const double t = model_.kernel_time(c);
     const double start = schedule_kernel(t);
-    hsim::Counters delta;
-    delta.launches = 1;
-    delta.flops = c.flops;
-    delta.bytes = c.bytes;
-    timeline_.add(phase_, t, delta);
     if (trace_) {
       obs::TraceEvent e;
       e.kind = obs::TraceEvent::Kind::Kernel;
@@ -461,7 +432,7 @@ class ExecContext {
                                  : obs::TraceEvent::Bound::Memory;
       e.backend = to_string(backend_);
       e.phase = phase_;
-      e.label = label_.empty() ? kind : label_;
+      e.label = kind;
       e.flops = c.flops;
       e.bytes = c.bytes;
       e.t_start = start;
@@ -485,7 +456,6 @@ class ExecContext {
   std::vector<std::pair<hsim::CostModel, double>> shadows_;
   hsim::CostModel model_;
   hsim::Counters counters_;
-  hsim::Timeline timeline_;
   obs::TraceBuffer* trace_ = nullptr;
   double sim_time_ = 0.0;
   // Per-stream readiness, kernel execution slots, and the two DMA engines.
@@ -498,7 +468,6 @@ class ExecContext {
   double stream_floor_ = 0.0;
   std::int64_t next_event_id_ = 0;
   std::string phase_ = "main";
-  std::string label_;
 };
 
 /// Builder for a fused kernel: consecutive same-range loop bodies merged

@@ -125,46 +125,6 @@ TEST(Exec, ThreadsReductionsAreDeterministic) {
   }
 }
 
-TEST(Exec, TimelinePhases) {
-  auto ctx = core::make_device();
-  ctx.set_phase("setup");
-  ctx.forall(10, {1.0, 8.0}, [](std::size_t) {});
-  ctx.set_phase("solve");
-  ctx.forall(10, {1.0, 8.0}, [](std::size_t) {});
-  ctx.forall(10, {1.0, 8.0}, [](std::size_t) {});
-  ASSERT_EQ(ctx.timeline().phases().size(), 2u);
-  EXPECT_EQ(ctx.timeline().phases()[0].name, "setup");
-  EXPECT_EQ(ctx.timeline().phases()[1].counters.launches, 2u);
-  EXPECT_NEAR(ctx.timeline().total(), ctx.simulated_time(), 1e-12);
-}
-
-TEST(Exec, TimelinePhasesCarryTransferDeltas) {
-  // Regression: record_transfer used to hand the timeline an empty
-  // Counters{}, so per-phase reports silently dropped transfer counts and
-  // h2d/d2h bytes.
-  auto ctx = core::make_device();
-  ctx.set_phase("stage_in");
-  ctx.record_transfer(1000.0, true);
-  ctx.record_transfer(500.0, true);
-  ctx.set_phase("stage_out");
-  ctx.record_transfer(250.0, false);
-  ASSERT_EQ(ctx.timeline().phases().size(), 2u);
-  const auto& in = ctx.timeline().phases()[0];
-  const auto& out = ctx.timeline().phases()[1];
-  EXPECT_EQ(in.counters.transfers, 2u);
-  EXPECT_DOUBLE_EQ(in.counters.h2d_bytes, 1500.0);
-  EXPECT_DOUBLE_EQ(in.counters.d2h_bytes, 0.0);
-  EXPECT_EQ(out.counters.transfers, 1u);
-  EXPECT_DOUBLE_EQ(out.counters.d2h_bytes, 250.0);
-  // The per-phase deltas add up to the context-wide counters, and the
-  // report prints the transfer columns.
-  EXPECT_EQ(in.counters.transfers + out.counters.transfers,
-            ctx.counters().transfers);
-  const std::string rep = ctx.timeline().report("t");
-  EXPECT_NE(rep.find("xfers"), std::string::npos);
-  EXPECT_NE(rep.find("GB xfer"), std::string::npos);
-}
-
 TEST(Exec, ResetZeroesShadowAccumulators) {
   // Regression: reset() cleared counters and the clock but left shadow
   // machines' accumulated times, so shadow_time() reported stale totals.
@@ -386,6 +346,33 @@ TEST(ThreadPool, ChunkIndexIsPositional) {
     }
     for (auto& s : seen) EXPECT_EQ(s.load(), 50);
   }
+}
+
+TEST(ThreadPool, ChunkedSumsIndependentOfPoolSize) {
+  // The Threads backend's partition depends on n only, so chunk-indexed
+  // partials folded in chunk order (ExecContext's reduce) give one bit
+  // pattern on every pool size. The terms span twelve decades, so any
+  // change of partition would show.
+  const std::size_t n = 20000;
+  auto term = [](std::size_t i) {
+    return std::sin(double(i)) * std::pow(10.0, double(i % 13) - 6.0);
+  };
+  auto chunked_sum = [&](core::ThreadPool& pool) {
+    std::vector<double> partial(pool.chunk_count(n), 0.0);
+    pool.parallel_for(n, [&](std::size_t c, std::size_t lo, std::size_t hi) {
+      double a = 0.0;
+      for (std::size_t i = lo; i < hi; ++i) a += term(i);
+      partial[c] = a;
+    });
+    double acc = 0.0;
+    for (double p : partial) acc += p;
+    return std::bit_cast<std::uint64_t>(acc);
+  };
+  core::ThreadPool one(1), two(2), four(4);
+  EXPECT_EQ(one.chunk_count(n), 16u);
+  const std::uint64_t ref = chunked_sum(one);
+  EXPECT_EQ(chunked_sum(two), ref);
+  EXPECT_EQ(chunked_sum(four), ref);
 }
 
 // ---------------------------------------------------------------------------

@@ -142,13 +142,6 @@ TEST(EdgeCase, KineticsTwoLevelAnalytic) {
   EXPECT_NEAR(pops[0] + pops[1], 1.0, 1e-12);
 }
 
-TEST(EdgeCase, TimelineEmptyReport) {
-  hsim::Timeline t;
-  EXPECT_DOUBLE_EQ(t.total(), 0.0);
-  const auto s = t.report("empty");
-  EXPECT_NE(s.find("total"), std::string::npos);
-}
-
 TEST(EdgeCase, UnifiedBufferSmallerThanOnePage) {
   auto ctx = core::make_device();
   core::UnifiedBuffer<double> buf(ctx, 16);  // 128 B << 64 KiB

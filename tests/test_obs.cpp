@@ -71,10 +71,8 @@ TEST(ExecTracing, EventsCarryPhaseLabelAndClassification) {
   // Memory-bound: 0.25 flop/byte, far below any GPU ridge.
   ctx.forall(1000, {2.0, 8.0}, [](std::size_t) {});
   ctx.set_phase("solve");
-  ctx.set_label("axpy");
   // Compute-bound: 1000 flops/byte.
   ctx.record_kernel({1e12, 1e9});
-  ctx.set_label("");
   ctx.record_transfer(5e6, true);
   ctx.record_transfer(7e6, false);
 
@@ -83,13 +81,11 @@ TEST(ExecTracing, EventsCarryPhaseLabelAndClassification) {
 
   EXPECT_EQ(snap[0].kind, obs::TraceEvent::Kind::Kernel);
   EXPECT_EQ(snap[0].phase, "setup");
-  EXPECT_EQ(snap[0].label, "forall");  // empty label falls back to op kind
   EXPECT_EQ(snap[0].bound, obs::TraceEvent::Bound::Memory);
   EXPECT_DOUBLE_EQ(snap[0].flops, 2000.0);
   EXPECT_DOUBLE_EQ(snap[0].bytes, 8000.0);
   EXPECT_STREQ(snap[0].backend, "device");
 
-  EXPECT_EQ(snap[1].label, "axpy");
   EXPECT_EQ(snap[1].phase, "solve");
   EXPECT_EQ(snap[1].bound, obs::TraceEvent::Bound::Compute);
 
@@ -191,28 +187,6 @@ TEST(Metrics, JsonRoundTrip) {
   EXPECT_DOUBLE_EQ(h.at("sum").as_number(), 40.0);
   EXPECT_DOUBLE_EQ(h.at("min").as_number(), 10.0);
   EXPECT_DOUBLE_EQ(h.at("max").as_number(), 30.0);
-}
-
-TEST(Metrics, PublishedCountersMatchExecContext) {
-  auto ctx = core::make_device();
-  ctx.forall(500, {3.0, 24.0}, [](std::size_t) {});
-  ctx.record_kernel({1e9, 1e7});
-  ctx.record_transfer(2e6, true);
-  ctx.record_transfer(3e6, false);
-
-  obs::MetricsRegistry m;
-  hsim::publish(m, "ctx", ctx.counters());
-  const auto doc = obs::Json::parse(m.to_json());
-  const auto& c = doc.at("counters");
-  const auto& k = ctx.counters();
-  EXPECT_DOUBLE_EQ(c.at("ctx.flops").as_number(), k.flops);
-  EXPECT_DOUBLE_EQ(c.at("ctx.bytes").as_number(), k.bytes);
-  EXPECT_DOUBLE_EQ(c.at("ctx.launches").as_number(),
-                   static_cast<double>(k.launches));
-  EXPECT_DOUBLE_EQ(c.at("ctx.transfers").as_number(),
-                   static_cast<double>(k.transfers));
-  EXPECT_DOUBLE_EQ(c.at("ctx.h2d_bytes").as_number(), k.h2d_bytes);
-  EXPECT_DOUBLE_EQ(c.at("ctx.d2h_bytes").as_number(), k.d2h_bytes);
 }
 
 TEST(Json, ParseDumpRoundTrip) {

@@ -38,27 +38,40 @@ hsim::MachineModel test_gpu(int concurrent_kernels) {
 /// A kernel that takes `ms` simulated milliseconds on test_gpu.
 hsim::KernelCost kernel_ms(double ms) { return {ms * 1e6, 0.0}; }
 
+/// Busy time: the summed durations of every traced launch and transfer.
+double busy_s(const obs::TraceBuffer& buf) {
+  double t = 0.0;
+  for (const auto& e : buf.snapshot()) {
+    if (!obs::is_marker(e.kind)) t += e.duration;
+  }
+  return t;
+}
+
 TEST(Streams, DefaultStreamMatchesSerializedClock) {
   // Everything on the default stream serializes regardless of the
   // concurrency knob -- the pre-stream accounting, unchanged.
   auto ctx = core::make_device(test_gpu(8));
+  obs::TraceBuffer buf;
+  ctx.set_trace(&buf);
   ctx.record_kernel(kernel_ms(1.0));
   ctx.record_kernel(kernel_ms(2.0));
   ctx.record_transfer(3e6, true);
   ctx.record_kernel(kernel_ms(4.0));
   EXPECT_DOUBLE_EQ(ctx.simulated_time(), 10e-3);
-  EXPECT_DOUBLE_EQ(ctx.timeline().total(), ctx.simulated_time());
+  EXPECT_DOUBLE_EQ(busy_s(buf), ctx.simulated_time());
 }
 
 TEST(Streams, KernelsOverlapAcrossStreams) {
   auto ctx = core::make_device(test_gpu(8));
+  obs::TraceBuffer buf;
+  ctx.set_trace(&buf);
   ctx.stream(0);
   ctx.record_kernel(kernel_ms(3.0));
   ctx.stream(1);
   ctx.record_kernel(kernel_ms(2.0));
-  // Makespan is the longest stream; the timeline keeps busy time.
+  // Makespan is the longest stream; the trace keeps busy time.
   EXPECT_DOUBLE_EQ(ctx.simulated_time(), 3e-3);
-  EXPECT_DOUBLE_EQ(ctx.timeline().total(), 5e-3);
+  EXPECT_DOUBLE_EQ(busy_s(buf), 5e-3);
 }
 
 TEST(Streams, ConcurrentKernelsKnobBoundsOverlap) {
@@ -85,6 +98,8 @@ TEST(Streams, MakespanBounds) {
   // busiest stream and never loses to full serialization.
   const double ms[] = {1.0, 2.0, 3.0, 4.0, 5.0, 6.0};
   auto ctx = core::make_device(test_gpu(8));
+  obs::TraceBuffer buf;
+  ctx.set_trace(&buf);
   double serialized = 0.0;
   double per_stream[3] = {0.0, 0.0, 0.0};
   for (int i = 0; i < 6; ++i) {
@@ -97,7 +112,7 @@ TEST(Streams, MakespanBounds) {
                                    per_stream[2]});
   EXPECT_LE(ctx.simulated_time(), serialized);
   EXPECT_GE(ctx.simulated_time(), busiest);
-  EXPECT_DOUBLE_EQ(ctx.timeline().total(), serialized);
+  EXPECT_DOUBLE_EQ(busy_s(buf), serialized);
 }
 
 TEST(Streams, TransfersAlwaysOverlapKernels) {
