@@ -125,7 +125,7 @@ SolveResult cg(core::ExecContext& ctx, const Operator& a,
       res.converged = true;
       return res;
     }
-    double rz_new;
+    double rz_new = 0.0;
     {
       prof::Scope s(opts.profiler, &ctx, "precond");
       if (opts.fused && !md.empty()) {
