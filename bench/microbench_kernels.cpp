@@ -2,9 +2,9 @@
 // across the workload: SpMV, AMG V-cycle, FEM partial vs full assembly,
 // LOR assembly and AMG setup, FFT, transpose variants, MD pair forces,
 // reaction kernels, the ParaDyn loop variants, the CleverLeaf patch
-// loops, and the checkpoint CRC-32. These are the kernels the modeled
-// experiments are built from; their *relative* behaviour is measurable
-// even on one core.
+// loops, the distributed wave sweep, and the checkpoint CRC-32. These
+// are the kernels the modeled experiments are built from; their
+// *relative* behaviour is measurable even on one core.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -26,6 +26,7 @@
 #include "md/md.hpp"
 #include "reaction/membrane.hpp"
 #include "reaction/monodomain.hpp"
+#include "stencil/distributed.hpp"
 
 using namespace coe;
 
@@ -255,21 +256,53 @@ void BM_CgFused(benchmark::State& state) {
 }
 BENCHMARK(BM_CgFused)->Args({0, 128})->Args({1, 128});
 
+void BM_WaveSweep(benchmark::State& state) {
+  // One wave_survive/wave_dist rank's sweep: a 64 x 128 x 128 slab of the
+  // 4th-order wave kernel, Taylor backstep (Arg 0: reads u, writes u_prev)
+  // or leapfrog (Arg 1: reads u and u_prev, writes u_next). Bytes are the
+  // arrays streamed, 8 per point per array.
+  const bool leapfrog = state.range(0) == 1;
+  stencil::WaveSlab slab(64, 128, 128, 1.0, 1.0, 0.5, 1, 0,
+                         [](double x, double y, double z) {
+                           return x * (1.0 - x) * y * (1.0 - y) * z *
+                                  (1.0 - z);
+                         });
+  slab.fill_yz_walls();
+  slab.fill_x_walls();
+  auto ctx = core::make_seq();
+  const auto update = leapfrog ? stencil::WaveSlab::Update::Leapfrog
+                               : stencil::WaveSlab::Update::Taylor;
+  for (auto _ : state) {
+    slab.sweep(ctx, 2, slab.lnx() + 2, update);
+    benchmark::DoNotOptimize(slab.u().data());
+    benchmark::ClobberMemory();
+  }
+  const std::int64_t points = 64 * 128 * 128;
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          points * 8 * (leapfrog ? 3 : 2));
+}
+BENCHMARK(BM_WaveSweep)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
 void BM_Crc32(benchmark::State& state) {
   // The checksum of one wave_survive checkpoint blob: a (64+4) x 132 x 132
   // slab of u and u_prev, 19 MB. Every buddy commit hashes each blob twice
-  // (at its owner and at the buddy).
+  // (at its owner and at the buddy). core::crc32 folds it with carry-less
+  // multiplies where the CPU has PCLMULQDQ (Arg 1) and otherwise runs the
+  // slicing-by-8 table loop (Arg 0, detail::crc32_table).
   const std::size_t words = std::size_t{64 + 4} * 132 * 132 * 2;
   std::vector<double> blob(words);
   core::Rng rng(7);
   for (double& w : blob) w = rng.uniform();
+  const std::size_t bytes = words * sizeof(double);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::crc32(std::span<const double>(blob)));
+    benchmark::DoNotOptimize(
+        state.range(0) == 1 ? core::crc32(blob.data(), bytes)
+                            : core::detail::crc32_table(blob.data(), bytes));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(words * sizeof(double)));
+                          static_cast<std::int64_t>(bytes));
 }
-BENCHMARK(BM_Crc32)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Crc32)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // table5_cleverleaf's device level: a 512^2 Sod tube with outflow walls,
 // as one patch (Arg 1) or four quadrant patches (Arg 4).

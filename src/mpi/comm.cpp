@@ -64,13 +64,20 @@ class World {
   /// operations (agree/repair/await) use enter_recovery_op instead: the
   /// fault hook still fires (kills can land mid-recovery) but a pending
   /// failure does not bounce them — they ARE the failure handling.
-  void enter_op(int rank) {
+  /// `ready` (run under the lock) reports an operation that can complete
+  /// at once; it skips the pending-failure check, since pred wins over
+  /// failure (wait_or_fail). The fault hook counts the op either way.
+  template <typename Ready>
+  void enter_op(int rank, Ready ready) {
     {
       std::lock_guard<std::mutex> lk(mtx_);
       if (aborted_) throw_peer_failure();
-      if (failure_pending_locked()) throw_rank_failed_locked();
+      if (failure_pending_locked() && !ready()) throw_rank_failed_locked();
     }
     run_fault_hook(rank);
+  }
+  void enter_op(int rank) {
+    enter_op(rank, [] { return false; });
   }
 
   void enter_recovery_op(int rank) {
@@ -122,7 +129,12 @@ class World {
   }
 
   std::vector<double> recv(int src, int dest, int tag) {
-    enter_op(dest);
+    // A message already deposited is delivered even with a failure
+    // pending, so a survivor consumes what was sent before the death.
+    enter_op(dest, [&] {
+      const auto it = mail_.find(key(epoch_, src, dest, tag));
+      return it != mail_.end() && !it->second.empty();
+    });
     std::unique_lock<std::mutex> lk(mtx_);
     auto& q = mail_[key(epoch_, src, dest, tag)];
     wait_or_fail(lk, [&] { return !q.empty(); },

@@ -73,6 +73,52 @@ void WaveSlab::fill_x_walls() {
   }
 }
 
+namespace {
+
+/// x-planes [a0, a1) of a slab with y-rows of `ny` interior points at
+/// stride mz and planes at stride `plane`, two ghosts deep. `out` is the
+/// array the update writes (u_prev for Taylor, u_next for Leapfrog); `u`
+/// and `prev` are only read. The row loop holds no branch and touches
+/// only the three restrict pointers, so it vectorizes wherever it is
+/// called from.
+template <WaveSlab::Update kUpdate>
+void sweep_planes(const double* __restrict u, const double* __restrict prev,
+                  double* __restrict out, std::size_t a0, std::size_t a1,
+                  std::size_t ny, std::size_t nz, std::size_t my,
+                  std::size_t mz, std::size_t plane, double ih2,
+                  double cdt2) {
+  for (std::size_t a = a0; a < a1; ++a) {
+    for (std::size_t j = 2; j < ny + 2; ++j) {
+      const std::size_t row = (a * my + j) * mz;
+      for (std::size_t k = 2; k < nz + 2; ++k) {
+        const std::size_t id = row + k;
+        if constexpr (kUpdate == WaveSlab::Update::Taylor) {
+          out[id] = u[id] + 0.5 * cdt2 * lap4(u, id, plane, mz, ih2);
+        } else {
+          out[id] =
+              2.0 * u[id] - prev[id] + cdt2 * lap4(u, id, plane, mz, ih2);
+        }
+      }
+    }
+  }
+}
+
+}  // namespace
+
+void WaveSlab::sweep(core::ExecContext& ctx, std::size_t a0, std::size_t a1,
+                     Update update) {
+  if (a0 >= a1) return;
+  if (update == Update::Taylor) {
+    sweep_planes<Update::Taylor>(u_.data(), nullptr, up_.data(), a0, a1, ny_,
+                                 nz_, my_, mz_, plane_, ih2_, cdt2_);
+  } else {
+    sweep_planes<Update::Leapfrog>(u_.data(), up_.data(), un_.data(), a0, a1,
+                                   ny_, nz_, my_, mz_, plane_, ih2_, cdt2_);
+  }
+  const auto n = static_cast<double>((a1 - a0) * ny_ * nz_);
+  ctx.record_kernel({kFlopsPerPoint * n * skew_, kBytesPerPoint * n * skew_});
+}
+
 void WaveSlab::gather(std::vector<double>& field) const {
   for (std::size_t a = 2; a < lnx_ + 2; ++a) {
     const std::size_t gi = x0_ + (a - 2);
@@ -165,7 +211,7 @@ DistributedWaveResult distributed_wave_run(
     // ghost-adjacent boundary planes run after the halos land.
     const std::size_t int_lo = 4;
     const std::size_t int_hi = std::max<std::size_t>(4, lnx);
-    auto comm_step = [&](auto&& update) {
+    auto comm_step = [&](WaveSlab::Update update) {
       slab.fill_yz_walls();
       log_compute();
       if (cfg.trace_ranks) ctx.set_phase("halo");
@@ -186,9 +232,9 @@ DistributedWaveResult distributed_wave_run(
       log_compute();
     };
 
-    comm_step(slab.taylor());
+    comm_step(WaveSlab::Update::Taylor);
     for (int s = 0; s < cfg.steps; ++s) {
-      comm_step(slab.leapfrog());
+      comm_step(WaveSlab::Update::Leapfrog);
       slab.rotate();
     }
 

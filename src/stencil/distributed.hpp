@@ -120,18 +120,10 @@ class WaveSlab final : public resil::Checkpointable {
   /// Odd-reflection ghosts on the global x walls (first and last slab).
   void fill_x_walls();
 
-  /// Step 0: Taylor backstep for u_prev (v0 = 0).
-  auto taylor() {
-    return [this](std::size_t id) {
-      up_[id] = u_[id] + 0.5 * cdt2_ * lap_at(id);
-    };
-  }
-  /// Leapfrog into u_next; rotate() once every owned plane is updated.
-  auto leapfrog() {
-    return [this](std::size_t id) {
-      un_[id] = 2.0 * u_[id] - up_[id] + cdt2_ * lap_at(id);
-    };
-  }
+  /// The point update a sweep applies: the step-0 Taylor backstep into
+  /// u_prev (v0 = 0), or the leapfrog into u_next (rotate() once every
+  /// owned plane is updated).
+  enum class Update { Taylor, Leapfrog };
   void rotate() {
     std::swap(up_, u_);
     std::swap(u_, un_);
@@ -140,19 +132,8 @@ class WaveSlab final : public resil::Checkpointable {
   /// Runs `update` over x-planes [a0, a1) and charges the node model once.
   /// Every point performs the same arithmetic whichever sweep it lands in,
   /// so splitting the owned planes cannot change a bit.
-  template <typename Update>
   void sweep(core::ExecContext& ctx, std::size_t a0, std::size_t a1,
-             Update&& update) {
-    if (a0 >= a1) return;
-    for (std::size_t a = a0; a < a1; ++a) {
-      for (std::size_t j = 2; j < ny_ + 2; ++j) {
-        for (std::size_t k = 2; k < nz_ + 2; ++k) update(idx(a, j, k));
-      }
-    }
-    const auto n = static_cast<double>((a1 - a0) * ny_ * nz_);
-    ctx.record_kernel(
-        {kFlopsPerPoint * n * skew_, kBytesPerPoint * n * skew_});
-  }
+             Update update);
 
   /// Copies the owned planes into the global x-major interior field.
   void gather(std::vector<double>& field) const;
@@ -171,9 +152,6 @@ class WaveSlab final : public resil::Checkpointable {
 
   std::size_t idx(std::size_t a, std::size_t j, std::size_t k) const {
     return (a * my_ + j) * mz_ + k;
-  }
-  double lap_at(std::size_t id) const {
-    return lap4(u_.data(), id, plane_, mz_, ih2_);
   }
 
   std::size_t ny_, nz_, lnx_, my_, mz_, plane_, x0_;

@@ -80,9 +80,9 @@ SurvivableWaveResult survivable_wave_run(
       WaveSlab& w = slab(rc, p);
       w.fill_x_walls();
       if (step == 0) {
-        w.sweep(ctx, 2, w.lnx() + 2, w.taylor());
+        w.sweep(ctx, 2, w.lnx() + 2, WaveSlab::Update::Taylor);
       } else {
-        w.sweep(ctx, 2, w.lnx() + 2, w.leapfrog());
+        w.sweep(ctx, 2, w.lnx() + 2, WaveSlab::Update::Leapfrog);
         w.rotate();
       }
     }

@@ -302,11 +302,23 @@ void write_merged_chrome_trace(
     }
   }
 
+  // Net rows and flow arrows go out rank by rank in each rank's program
+  // order, (rank, pos), never in the NetLog's cross-rank push order, which
+  // thread timing decides: the export depends on the rank programs alone.
+  auto in_order = [&](auto&& emit) {
+    for (std::size_t r = 0; r < replay.rank_events.size() &&
+                            r < static_cast<std::size_t>(rep.ranks);
+         ++r) {
+      for (const std::size_t i : replay.rank_events[r]) {
+        emit(replay.events[i]);
+      }
+    }
+  };
+
   // The replayed net events, one complete event per action on the rank's
   // net row. Times are replay seconds -> trace microseconds.
-  for (const net::ReplayEvent& re : replay.events) {
+  in_order([&](const net::ReplayEvent& re) {
     const net::NetEvent& e = re.ev;
-    if (e.rank < 0 || e.rank >= rep.ranks) continue;
     double start = re.t_before;
     double end = re.t_after;
     if (e.kind == net::NetEvent::Kind::Send) {
@@ -332,19 +344,17 @@ void write_merged_chrome_trace(
        << ",\"args\":{\"net_kind\":\"" << kind_name(e.kind)
        << "\",\"peer\":" << e.peer << ",\"tag\":" << e.tag << ",\"bytes\":"
        << obs::Json::number(e.bytes).dump() << "}}";
-  }
+  });
 
   // Flow arrows for matched Send/Recv pairs: from the send's wire start on
-  // the source rank to the receive's completion on the destination.
+  // the source rank to the receive's completion on the destination,
+  // numbered in the receives' (rank, pos) order.
   std::size_t flow = 0;
-  for (const net::ReplayEvent& re : replay.events) {
-    if (re.ev.kind != net::NetEvent::Kind::Recv || re.match < 0) continue;
+  in_order([&](const net::ReplayEvent& re) {
+    if (re.ev.kind != net::NetEvent::Kind::Recv || re.match < 0) return;
     const net::ReplayEvent& snd =
         replay.events[static_cast<std::size_t>(re.match)];
-    if (snd.ev.rank < 0 || snd.ev.rank >= rep.ranks || re.ev.rank < 0 ||
-        re.ev.rank >= rep.ranks) {
-      continue;
-    }
+    if (snd.ev.rank < 0 || snd.ev.rank >= rep.ranks) return;
     sep();
     os << "{\"name\":\"msg\",\"cat\":\"xray_msg\",\"ph\":\"s\",\"id\":"
        << flow << ",\"ts\":" << obs::Json::number(snd.wire_start * 1e6).dump()
@@ -354,7 +364,7 @@ void write_merged_chrome_trace(
        << obs::Json::number(re.done * 1e6).dump() << ",\"pid\":" << re.ev.rank
        << ",\"tid\":" << kNetTid << "}";
     ++flow;
-  }
+  });
 
   // Per-rank kernels/transfers, mapped from rank-local simulated time onto
   // the global clock through the rank's logged compute windows.

@@ -380,7 +380,7 @@ TEST(ThreadPool, ChunkedSumsIndependentOfPoolSize) {
 // ---------------------------------------------------------------------------
 
 /// The textbook byte-at-a-time CRC-32 (reflected 0xEDB88320, bitwise), kept
-/// here as the oracle the table-driven core::crc32 must match exactly.
+/// here as the oracle both core::crc32 paths must match exactly.
 std::uint32_t crc32_bytewise(const unsigned char* p, std::size_t n,
                              std::uint32_t seed) {
   std::uint32_t c = ~seed;
@@ -405,18 +405,41 @@ TEST(Crc32, CheckValue) {
 }
 
 TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
-  // Lengths 0..300 cover the empty input, tails of every size and several
-  // full 8-byte blocks; the start offset walks all 8 misalignments.
-  const auto buf = random_bytes(300 + 8, 11);
+  // Both paths against the oracle: core::crc32 (carry-less-multiply
+  // folding from 64 bytes up where the CPU has it) and the slicing-by-8
+  // table loop that is the whole checksum elsewhere. Lengths 0..1100 cross
+  // the 64-byte folding threshold, the 128-byte second 4x128 fold, every
+  // 16-byte remainder and the 8-byte table blocks; the start offset walks
+  // all 8 misalignments.
+  const auto buf = random_bytes(1100 + 8, 11);
   for (const std::uint32_t seed : {0u, 0xDEADBEEFu}) {
     for (std::size_t off = 0; off < 8; ++off) {
-      for (std::size_t n = 0; n <= 300; ++n) {
+      for (std::size_t n = 0; n <= 1100; ++n) {
         const unsigned char* p = buf.data() + off;
-        ASSERT_EQ(core::crc32(p, n, seed), crc32_bytewise(p, n, seed))
+        const std::uint32_t want = crc32_bytewise(p, n, seed);
+        ASSERT_EQ(core::crc32(p, n, seed), want)
+            << "seed=" << seed << " off=" << off << " n=" << n;
+        ASSERT_EQ(core::detail::crc32_table(p, n, seed), want)
             << "seed=" << seed << " off=" << off << " n=" << n;
       }
     }
   }
+}
+
+TEST(Crc32, CheckpointBlobMatchesTablePath) {
+  // One wave_survive checkpoint blob: (64+4) x 132 x 132 doubles of u and
+  // u_prev, 19 MB, with an odd byte count so the tail path runs too.
+  const std::size_t words = std::size_t{64 + 4} * 132 * 132 * 2;
+  core::Rng rng(5);
+  std::vector<double> blob(words);
+  for (double& w : blob) w = rng.uniform();
+  const std::size_t bytes = words * sizeof(double) - 3;
+  for (const std::uint32_t seed : {0u, 0xDEADBEEFu}) {
+    EXPECT_EQ(core::crc32(blob.data(), bytes, seed),
+              core::detail::crc32_table(blob.data(), bytes, seed));
+  }
+  EXPECT_EQ(core::crc32(std::span<const double>(blob)),
+            core::detail::crc32_table(blob.data(), words * sizeof(double)));
 }
 
 TEST(Crc32, ChunkingIdentity) {
